@@ -32,11 +32,6 @@ class FailureLedger {
     slot.exception = failure;
   }
 
-  bool failed(std::size_t cell) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return cells_[cell].error.failed;
-  }
-
   CellError error(std::size_t cell) const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return cells_[cell].error;
@@ -124,26 +119,19 @@ bool run_with_retries(const RunPolicy& policy, DeadlineWatchdog* watchdog,
 
 }  // namespace
 
-std::size_t BatchRunner::add(ScenarioSpec spec, PolicyFactory policy, RepMetric metric) {
-  cells_.push_back(Cell{ScenarioRunner(std::move(spec)), std::move(policy),
-                        std::move(metric)});
-  return cells_.size() - 1;
-}
-
-void BatchRunner::add_grid(const ScenarioSpec& spec,
-                           const std::vector<PolicyFactory>& policies) {
-  for (const PolicyFactory& policy : policies) add(spec, policy);
-}
-
-std::vector<ScenarioResult> BatchRunner::run(const CellDone& on_cell_done) {
+template <typename CellT, typename Result>
+std::vector<Result> BatchRunner::run_cells(
+    std::vector<CellT>& cells,
+    const std::function<void(std::size_t, const Result&)>& on_cell_done) {
+  using Outcome = decltype(cells.front().run(0, nullptr));
   // Preassign every repetition a slot, then fan the (cell, repetition)
   // tasks out; tasks only write their own slot, so outcome writes need no
   // locking. The last repetition of a cell (acq_rel countdown) folds the
   // cell's aggregate in seed order -- deterministic regardless of worker
   // scheduling -- and fires the completion callback.
-  const std::size_t num_cells = cells_.size();
-  std::vector<std::vector<RepetitionOutcome>> outcomes(num_cells);
-  std::vector<ScenarioResult> results(num_cells);
+  const std::size_t num_cells = cells.size();
+  std::vector<std::vector<Outcome>> outcomes(num_cells);
+  std::vector<Result> results(num_cells);
   FailureLedger ledger(num_cells);
   const auto remaining = std::make_unique<std::atomic<std::size_t>[]>(num_cells);
   const bool isolate = policy_.failure == FailurePolicy::Isolate;
@@ -151,23 +139,18 @@ std::vector<ScenarioResult> BatchRunner::run(const CellDone& on_cell_done) {
     watchdog_ = std::make_unique<DeadlineWatchdog>();
   }
 
-  const auto cell_label = [this](std::size_t c) {
-    return cells_[c].runner.spec().name + " x " + cells_[c].policy.name;
+  const auto cell_label = [&cells](std::size_t c) {
+    return cells[c].runner.spec().name + " x " + cells[c].policy.name;
   };
   const auto finalize_cell = [&](std::size_t c) {
-    ScenarioResult& result = results[c];
-    result.scenario = cells_[c].runner.spec().name;
-    result.policy = cells_[c].policy.name;
-    if (ledger.failed(c)) {
-      result.error = ledger.error(c);
+    Result& result = results[c];
+    CellError error = ledger.error(c);
+    if (error.failed) {
+      result.scenario = cells[c].runner.spec().name;
+      result.policy = cells[c].policy.name;
+      result.error = std::move(error);
     } else {
-      result.repetitions = std::move(outcomes[c]);
-      for (const RepetitionOutcome& rep : result.repetitions) {
-        result.cost.add(rep.total_cost);
-        result.metric.add(rep.metric);
-        result.wall_ms.add(rep.wall_ms);
-        merge_report(result.probe, rep.probe);
-      }
+      result = cells[c].runner.aggregate(cells[c].policy, std::move(outcomes[c]));
     }
     if (on_cell_done && (!result.error.failed || isolate)) on_cell_done(c, result);
   };
@@ -179,13 +162,12 @@ std::vector<ScenarioResult> BatchRunner::run(const CellDone& on_cell_done) {
   };
   std::vector<Task> tasks;
   for (std::size_t c = 0; c < num_cells; ++c) {
-    const auto seeds = cells_[c].runner.seeds();
+    const auto seeds = cells[c].runner.seeds();
     outcomes[c].resize(seeds.size());
     remaining[c].store(seeds.size(), std::memory_order_relaxed);
     for (std::size_t r = 0; r < seeds.size(); ++r) {
       tasks.push_back(Task{c, r, seeds[r]});
     }
-    if (seeds.empty()) finalize_cell(c);
   }
 
   // Pool tasks must not throw (std::terminate otherwise), but engines do
@@ -193,14 +175,13 @@ std::vector<ScenarioResult> BatchRunner::run(const CellDone& on_cell_done) {
   // deadline cancellation): every definitive failure lands in the ledger
   // and the failure policy decides after the drain.
   for (const Task& task : tasks) {
-    pool_.submit([this, task, &outcomes, &ledger, &remaining, &finalize_cell,
+    pool_.submit([this, task, &cells, &outcomes, &ledger, &remaining, &finalize_cell,
                   &cell_label] {
-      const Cell& cell = cells_[task.cell];
       const std::string name = policy_.fault_hook ? cell_label(task.cell) : std::string();
       run_with_retries(policy_, watchdog_.get(), name, task.cell, task.rep, ledger,
                        [&](const CancelToken* cancel) {
-                         outcomes[task.cell][task.rep] = cell.runner.run_repetition(
-                             cell.policy, task.seed, cell.metric, cancel);
+                         outcomes[task.cell][task.rep] =
+                             cells[task.cell].run(task.seed, cancel);
                        });
       if (remaining[task.cell].fetch_sub(1, std::memory_order_acq_rel) == 1) {
         finalize_cell(task.cell);
@@ -214,11 +195,26 @@ std::vector<ScenarioResult> BatchRunner::run(const CellDone& on_cell_done) {
     std::vector<std::string> labels;
     labels.reserve(failed.size());
     for (const std::size_t c : failed) labels.push_back(cell_label(c));
-    cells_.clear();
+    cells.clear();
     throw_fail_fast(ledger, failed, labels);
   }
-  cells_.clear();
+  cells.clear();
   return results;
+}
+
+std::size_t BatchRunner::add(ScenarioSpec spec, PolicyFactory policy, RepMetric metric) {
+  cells_.push_back(Cell{ScenarioRunner(std::move(spec)), std::move(policy),
+                        std::move(metric)});
+  return cells_.size() - 1;
+}
+
+void BatchRunner::add_grid(const ScenarioSpec& spec,
+                           const std::vector<PolicyFactory>& policies) {
+  for (const PolicyFactory& policy : policies) add(spec, policy);
+}
+
+std::vector<ScenarioResult> BatchRunner::run(const CellDone& on_cell_done) {
+  return run_cells(cells_, on_cell_done);
 }
 
 std::size_t BatchRunner::add_stream(StreamSpec spec, PolicyFactory policy) {
@@ -232,75 +228,7 @@ void BatchRunner::add_stream_grid(const StreamSpec& spec,
 }
 
 std::vector<StreamResult> BatchRunner::run_streams(const StreamCellDone& on_cell_done) {
-  const std::size_t num_cells = stream_cells_.size();
-  std::vector<std::vector<StreamRepOutcome>> outcomes(num_cells);
-  std::vector<StreamResult> results(num_cells);
-  FailureLedger ledger(num_cells);
-  const auto remaining = std::make_unique<std::atomic<std::size_t>[]>(num_cells);
-  const bool isolate = policy_.failure == FailurePolicy::Isolate;
-  if (policy_.deadline_ms > 0 && !watchdog_) {
-    watchdog_ = std::make_unique<DeadlineWatchdog>();
-  }
-
-  const auto cell_label = [this](std::size_t c) {
-    return stream_cells_[c].runner.spec().name + " x " + stream_cells_[c].policy.name;
-  };
-  const auto finalize_cell = [&](std::size_t c) {
-    StreamResult& result = results[c];
-    if (ledger.failed(c)) {
-      result.scenario = stream_cells_[c].runner.spec().name;
-      result.policy = stream_cells_[c].policy.name;
-      result.error = ledger.error(c);
-    } else {
-      result = stream_cells_[c].runner.aggregate(stream_cells_[c].policy,
-                                                 std::move(outcomes[c]));
-    }
-    if (on_cell_done && (!result.error.failed || isolate)) on_cell_done(c, result);
-  };
-
-  struct Task {
-    std::size_t cell;
-    std::size_t rep;
-    std::uint64_t seed;
-  };
-  std::vector<Task> tasks;
-  for (std::size_t c = 0; c < num_cells; ++c) {
-    const auto seeds = stream_cells_[c].runner.seeds();
-    outcomes[c].resize(seeds.size());
-    remaining[c].store(seeds.size(), std::memory_order_relaxed);
-    for (std::size_t r = 0; r < seeds.size(); ++r) {
-      tasks.push_back(Task{c, r, seeds[r]});
-    }
-    if (seeds.empty()) finalize_cell(c);
-  }
-
-  for (const Task& task : tasks) {
-    pool_.submit([this, task, &outcomes, &ledger, &remaining, &finalize_cell,
-                  &cell_label] {
-      const StreamCell& cell = stream_cells_[task.cell];
-      const std::string name = policy_.fault_hook ? cell_label(task.cell) : std::string();
-      run_with_retries(policy_, watchdog_.get(), name, task.cell, task.rep, ledger,
-                       [&](const CancelToken* cancel) {
-                         outcomes[task.cell][task.rep] =
-                             cell.runner.run_repetition(cell.policy, task.seed, cancel);
-                       });
-      if (remaining[task.cell].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        finalize_cell(task.cell);
-      }
-    });
-  }
-  pool_.wait_idle();
-
-  const std::vector<std::size_t> failed = ledger.failed_cells();
-  if (!failed.empty() && !isolate) {
-    std::vector<std::string> labels;
-    labels.reserve(failed.size());
-    for (const std::size_t c : failed) labels.push_back(cell_label(c));
-    stream_cells_.clear();
-    throw_fail_fast(ledger, failed, labels);
-  }
-  stream_cells_.clear();
-  return results;
+  return run_cells(stream_cells_, on_cell_done);
 }
 
 }  // namespace rdcn

@@ -3,9 +3,12 @@
 // BatchRunner: fans a grid of (scenario x policy) cells out over the
 // shared thread pool, one task per repetition. Results are deterministic
 // and independent of worker scheduling: every repetition's outcome lands
-// in its preassigned slot, and aggregates are folded in seed order.
-// Streamed (open-loop) cells ride the same pool via add_stream /
-// run_streams, so latency-vs-load sweeps parallelize like batch grids.
+// in its preassigned slot, and the cell's runner folds them in seed order
+// (ScenarioRunner::aggregate / StreamRunner::aggregate, the same fold the
+// sequential run() uses). Streamed (open-loop) cells queue separately via
+// add_stream and drain via run_streams; both kinds go through one fan-out
+// body (run_cells), so ledger, retry, deadline, finalize and fail-fast
+// behave identically, and each run drains only its own queue.
 //
 // Fault tolerance (run/failure.hpp): set_policy configures what a
 // throwing cell does to its siblings (fail_fast rethrows the first
@@ -92,11 +95,26 @@ class BatchRunner {
     ScenarioRunner runner;
     PolicyFactory policy;
     RepMetric metric;
+    RepetitionOutcome run(std::uint64_t seed, const CancelToken* cancel) const {
+      return runner.run_repetition(policy, seed, metric, cancel);
+    }
   };
   struct StreamCell {
     StreamRunner runner;
     PolicyFactory policy;
+    StreamRepOutcome run(std::uint64_t seed, const CancelToken* cancel) const {
+      return runner.run_repetition(policy, seed, cancel);
+    }
   };
+
+  /// The fan-out body behind run() and run_streams(): runs every
+  /// repetition of every cell in `cells` on the pool, folds each cell's
+  /// result the moment its last repetition lands, applies the failure
+  /// policy after the drain, and clears `cells`.
+  template <typename CellT, typename Result>
+  std::vector<Result> run_cells(
+      std::vector<CellT>& cells,
+      const std::function<void(std::size_t, const Result&)>& on_cell_done);
 
   ThreadPool pool_;
   RunPolicy policy_;

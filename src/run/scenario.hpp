@@ -96,6 +96,13 @@ struct ScenarioResult {
   CellError error;
 };
 
+namespace detail {
+/// base_seed, base_seed + 1, ... (repetitions of them): the seed list of
+/// both ScenarioRunner and StreamRunner.
+std::vector<std::uint64_t> repetition_seeds(std::uint64_t base_seed,
+                                            std::size_t repetitions);
+}  // namespace detail
+
 /// Optional per-repetition metric (e.g. ratio to a bound computed from the
 /// instance); default records total_cost.
 using RepMetric = std::function<double(const Instance&, const RunResult&)>;
@@ -126,6 +133,11 @@ class ScenarioRunner {
 
   /// Repetition seeds of this spec, in order.
   std::vector<std::uint64_t> seeds() const;
+
+  /// Folds repetition outcomes into a ScenarioResult in order (shared by
+  /// run() and BatchRunner's fan-out, so both aggregate identically).
+  ScenarioResult aggregate(const PolicyFactory& policy,
+                           std::vector<RepetitionOutcome> outcomes) const;
 
   /// Calls fn(seed, instance) for every repetition, instances built by the
   /// runner -- the hook for benches computing bespoke audits per instance.

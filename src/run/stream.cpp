@@ -57,12 +57,7 @@ StreamRunner::StreamRunner(StreamSpec spec) : spec_(std::move(spec)) {
 }
 
 std::vector<std::uint64_t> StreamRunner::seeds() const {
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(spec_.repetitions);
-  for (std::size_t i = 0; i < spec_.repetitions; ++i) {
-    seeds.push_back(spec_.base_seed + static_cast<std::uint64_t>(i));
-  }
-  return seeds;
+  return detail::repetition_seeds(spec_.base_seed, spec_.repetitions);
 }
 
 StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,

@@ -478,15 +478,36 @@ void parse_axis(Fields& doc, const char* key, bool required, Fn&& parse_entry) {
   }
 }
 
-}  // namespace
-
-SuiteSpec parse_suite(const std::string& json_text) {
-  json::Value document;
+/// json::parse, with malformed input reported as a document-level
+/// SuiteError carrying the parser's position.
+json::Value parse_document(const std::string& json_text) {
   try {
-    document = json::parse(json_text);
+    return json::parse(json_text);
   } catch (const json::ParseError& error) {
     throw SuiteError("", std::string("malformed JSON: ") + error.what());
   }
+}
+
+/// Reads the `kind` file at `path` and hands its text to `parse`. Errors
+/// are re-wrapped so the message leads with the file; the JSON path
+/// survives inside what() (it prefixes the original message).
+template <typename Parse>
+auto load_file(const std::string& path, const char* kind, const Parse& parse) {
+  std::ifstream in(path);
+  if (!in) throw SuiteError("", std::string("cannot open ") + kind + " file " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  try {
+    return parse(text.str());
+  } catch (const SuiteError& error) {
+    throw SuiteError("", path + ": " + error.what());
+  }
+}
+
+}  // namespace
+
+SuiteSpec parse_suite(const std::string& json_text) {
+  const json::Value document = parse_document(json_text);
 
   Fields doc(document, "");
   SuiteSpec suite;
@@ -629,39 +650,15 @@ SuiteSpec parse_suite(const std::string& json_text) {
 }
 
 SuiteSpec load_suite_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw SuiteError("", "cannot open suite file " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    return parse_suite(text.str());
-  } catch (const SuiteError& error) {
-    // Re-wrap so the message leads with the file; the JSON path survives
-    // inside what() (it prefixes the original message).
-    throw SuiteError("", path + ": " + error.what());
-  }
+  return load_file(path, "suite", parse_suite);
 }
 
 std::vector<StageSpec> parse_stages_json(const std::string& json_text) {
-  json::Value document;
-  try {
-    document = json::parse(json_text);
-  } catch (const json::ParseError& error) {
-    throw SuiteError("", std::string("malformed JSON: ") + error.what());
-  }
-  return parse_stage_entries(document, "stages");
+  return parse_stage_entries(parse_document(json_text), "stages");
 }
 
 std::vector<StageSpec> load_stages_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw SuiteError("", "cannot open stages file " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    return parse_stages_json(text.str());
-  } catch (const SuiteError& error) {
-    throw SuiteError("", path + ": " + error.what());
-  }
+  return load_file(path, "stages", parse_stages_json);
 }
 
 // --- normalized writer ------------------------------------------------------
@@ -874,23 +871,27 @@ std::string suite_to_json(const SuiteSpec& spec) {
 
 // --- grid expansion ---------------------------------------------------------
 
-std::vector<ScenarioSpec> suite_batch_grid(const SuiteSpec& spec) {
-  if (spec.mode != SuiteSpec::Mode::Batch) {
-    throw SuiteError("mode", "suite_batch_grid needs a batch suite");
-  }
-  std::vector<ScenarioSpec> grid;
-  grid.reserve(spec.topologies.size() * spec.workloads.size() * spec.engines.size());
+namespace {
+
+/// The topologies x variants x engines expansion behind both grids: names
+/// each cell "<suite>/<topology>/<variant>/<engine>" and copies the fields
+/// both cell kinds share; `fill` sets the mode's own.
+template <typename Cell, typename Variant, typename Fill>
+std::vector<Cell> expand_grid(const SuiteSpec& spec, const std::vector<Variant>& variants,
+                              const Fill& fill) {
+  std::vector<Cell> grid;
+  grid.reserve(spec.topologies.size() * variants.size() * spec.engines.size());
   for (const SuiteTopology& topology : spec.topologies) {
-    for (const SuiteWorkload& workload : spec.workloads) {
+    for (const Variant& variant : variants) {
       for (const SuiteEngine& engine : spec.engines) {
-        ScenarioSpec cell;
+        Cell cell;
         cell.name =
-            spec.name + "/" + topology.label + "/" + workload.label + "/" + engine.label;
+            spec.name + "/" + topology.label + "/" + variant.label + "/" + engine.label;
         cell.topology = topology.spec;
-        cell.workload = workload.config;
         cell.engine = engine.options;
         cell.base_seed = spec.base_seed;
         cell.repetitions = spec.repetitions;
+        fill(cell, variant.config);
         grid.push_back(std::move(cell));
       }
     }
@@ -898,35 +899,33 @@ std::vector<ScenarioSpec> suite_batch_grid(const SuiteSpec& spec) {
   return grid;
 }
 
+}  // namespace
+
+std::vector<ScenarioSpec> suite_batch_grid(const SuiteSpec& spec) {
+  if (spec.mode != SuiteSpec::Mode::Batch) {
+    throw SuiteError("mode", "suite_batch_grid needs a batch suite");
+  }
+  const auto fill = [](ScenarioSpec& cell, const WorkloadConfig& workload) {
+    cell.workload = workload;
+  };
+  return expand_grid<ScenarioSpec>(spec, spec.workloads, fill);
+}
+
 std::vector<StreamSpec> suite_stream_grid(const SuiteSpec& spec) {
   if (spec.mode != SuiteSpec::Mode::Stream) {
     throw SuiteError("mode", "suite_stream_grid needs a stream suite");
   }
-  std::vector<StreamSpec> grid;
-  grid.reserve(spec.topologies.size() * spec.traffic.size() * spec.engines.size());
-  for (const SuiteTopology& topology : spec.topologies) {
-    for (const SuiteTraffic& traffic : spec.traffic) {
-      for (const SuiteEngine& engine : spec.engines) {
-        StreamSpec cell;
-        cell.name =
-            spec.name + "/" + topology.label + "/" + traffic.label + "/" + engine.label;
-        cell.topology = topology.spec;
-        cell.traffic = traffic.config;
-        cell.traffic.speedup_rounds = engine.options.speedup_rounds;
-        cell.engine = engine.options;
-        cell.base_seed = spec.base_seed;
-        cell.repetitions = spec.repetitions;
-        cell.warmup_packets = spec.warmup_packets;
-        cell.measure_packets = spec.measure_packets;
-        cell.telemetry_window = spec.telemetry_window;
-        cell.max_steps = spec.max_steps;
-        cell.step_cap_factor = spec.step_cap_factor;
-        cell.stages = spec.stages;
-        grid.push_back(std::move(cell));
-      }
-    }
-  }
-  return grid;
+  const auto fill = [&spec](StreamSpec& cell, const TrafficConfig& traffic) {
+    cell.traffic = traffic;
+    cell.traffic.speedup_rounds = cell.engine.speedup_rounds;
+    cell.warmup_packets = spec.warmup_packets;
+    cell.measure_packets = spec.measure_packets;
+    cell.telemetry_window = spec.telemetry_window;
+    cell.max_steps = spec.max_steps;
+    cell.step_cap_factor = spec.step_cap_factor;
+    cell.stages = spec.stages;
+  };
+  return expand_grid<StreamSpec>(spec, spec.traffic, fill);
 }
 
 // --- execution --------------------------------------------------------------
@@ -1066,44 +1065,19 @@ void append_stage_metrics(json::Object& line, const StreamResult& result) {
   line.emplace_back("stages", json::Value(std::move(stages)));
 }
 
-/// Isolate-mode error row: the cell header plus the structured failure
-/// ("status": "failed", exception type + message, the losing repetition
-/// and how many attempts it got). Healthy rows carry no "status" key, so
-/// downstream strict parsers (perf_diff) reject mixed streams loudly
-/// instead of averaging error rows into metrics.
-std::string render_error_row(const SuiteSpec& spec, const CellAxes& axes,
-                             const std::string& policy, const std::string& scenario,
-                             const CellError& error) {
-  json::Object line = line_header(spec, axes, policy, scenario);
-  line.emplace_back("status", "failed");
-  line.emplace_back("error_type", error.type);
-  line.emplace_back("error_message", error.message);
-  line.emplace_back("repetition", static_cast<std::int64_t>(error.repetition));
-  line.emplace_back("attempts", static_cast<std::int64_t>(error.attempts));
-  return json::dump(json::Value(std::move(line)));
-}
-
-std::string render_batch_row(const SuiteSpec& spec, const CellAxes& axes,
-                             const ScenarioResult& result) {
-  if (result.error.failed) {
-    return render_error_row(spec, axes, result.policy, result.scenario, result.error);
-  }
-  json::Object line = line_header(spec, axes, result.policy, result.scenario);
+/// Batch cell metrics: cost summary and mean wall clock.
+void append_metrics(json::Object& line, const ScenarioResult& result) {
   line.emplace_back("total_cost", result.cost.mean());
   line.emplace_back("wall_ms", result.wall_ms.mean());
   line.emplace_back("cost_stddev", result.cost.stddev());
   line.emplace_back("cost_min", result.cost.min());
   line.emplace_back("cost_max", result.cost.max());
   append_phase_metrics(line, result.probe);
-  return json::dump(json::Value(std::move(line)));
 }
 
-std::string render_stream_row(const SuiteSpec& spec, const CellAxes& axes,
-                              const StreamResult& result) {
-  if (result.error.failed) {
-    return render_error_row(spec, axes, result.policy, result.scenario, result.error);
-  }
-  json::Object line = line_header(spec, axes, result.policy, result.scenario);
+/// Stream cell metrics: cost, throughput, latency percentiles, backlog,
+/// truncation flags, drop/requeue counts and per-stage recovery.
+void append_metrics(json::Object& line, const StreamResult& result) {
   double total_cost = 0.0;
   for (const StreamRepOutcome& rep : result.repetitions) total_cost += rep.total_cost;
   if (!result.repetitions.empty()) {
@@ -1136,60 +1110,76 @@ std::string render_stream_row(const SuiteSpec& spec, const CellAxes& axes,
   line.emplace_back("requeued", static_cast<std::int64_t>(result.requeued));
   append_stage_metrics(line, result);
   append_phase_metrics(line, result.probe);
+}
+
+/// One result row of either cell kind: the cell header plus the kind's
+/// metrics, or under isolate the structured failure ("status": "failed",
+/// exception type + message, the losing repetition and how many attempts
+/// it got). Healthy rows carry no "status" key, so downstream strict
+/// parsers (perf_diff) reject mixed streams loudly instead of averaging
+/// error rows into metrics.
+template <typename Result>
+std::string render_row(const SuiteSpec& spec, const CellAxes& axes,
+                       const Result& result) {
+  json::Object line = line_header(spec, axes, result.policy, result.scenario);
+  const CellError& error = result.error;
+  if (error.failed) {
+    line.emplace_back("status", "failed");
+    line.emplace_back("error_type", error.type);
+    line.emplace_back("error_message", error.message);
+    line.emplace_back("repetition", static_cast<std::int64_t>(error.repetition));
+    line.emplace_back("attempts", static_cast<std::int64_t>(error.attempts));
+  } else {
+    append_metrics(line, result);
+  }
   return json::dump(json::Value(std::move(line)));
 }
 
-}  // namespace
-
-SuiteJournal load_suite_journal(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw SuiteError("", "cannot open journal file " + path);
+/// Parses a journal's text. Errors leave without the file name, which
+/// load_file prefixes.
+SuiteJournal parse_journal(const std::string& text) {
+  std::istringstream in(text);
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) {
     if (!line.empty()) lines.push_back(line);
   }
-  if (lines.empty()) throw SuiteError("", path + ": empty journal");
+  if (lines.empty()) throw SuiteError("", "empty journal");
 
-  const auto parse_line = [&](const std::string& text, std::size_t index) {
+  const auto parse_line = [](const std::string& entry, std::size_t index) {
     try {
-      return json::parse(text);
+      return json::parse(entry);
     } catch (const json::ParseError& error) {
-      throw SuiteError("", path + ": journal line " + std::to_string(index + 1) +
+      throw SuiteError("", "journal line " + std::to_string(index + 1) +
                                " is not valid JSON: " + error.what());
     }
   };
 
   const json::Value header_doc = parse_line(lines.front(), 0);
   SuiteJournal journal;
-  std::int64_t declared_cells = 0;
-  try {
-    Fields header(header_doc, "");
-    const json::Value* tag = header.member("rdcn_suite_journal");
-    if (tag == nullptr || !tag->is_integer() || tag->as_integer() != 1) {
-      throw SuiteError("rdcn_suite_journal", "missing or unsupported journal version");
-    }
-    header.required_str("suite");  // informational; the spec text is authoritative
-    declared_cells = header.integer("cells", -1, -1,
-                                    std::numeric_limits<std::int64_t>::max());
-    if (declared_cells < 0) {
-      throw SuiteError("cells", "required key is missing");
-    }
-    journal.spec_json = header.required_str("spec");
-    header.finish();
-  } catch (const SuiteError& error) {
-    throw SuiteError("", path + ": " + error.what());
+  Fields header(header_doc, "");
+  const json::Value* tag = header.member("rdcn_suite_journal");
+  if (tag == nullptr || !tag->is_integer() || tag->as_integer() != 1) {
+    throw SuiteError("rdcn_suite_journal", "missing or unsupported journal version");
   }
+  header.required_str("suite");  // informational; the spec text is authoritative
+  const std::int64_t declared_cells =
+      header.integer("cells", -1, -1, std::numeric_limits<std::int64_t>::max());
+  if (declared_cells < 0) {
+    throw SuiteError("cells", "required key is missing");
+  }
+  journal.spec_json = header.required_str("spec");
+  header.finish();
 
   try {
     journal.spec = parse_suite(journal.spec_json);
   } catch (const SuiteError& error) {
-    throw SuiteError("", path + ": embedded spec is invalid: " + error.what());
+    throw SuiteError("", std::string("embedded spec is invalid: ") + error.what());
   }
   const SuiteRunner probe(journal.spec);
   const std::size_t total = probe.cells();
   if (static_cast<std::size_t>(declared_cells) != total) {
-    throw SuiteError("", path + ": header declares " + std::to_string(declared_cells) +
+    throw SuiteError("", "header declares " + std::to_string(declared_cells) +
                              " cells but the embedded spec expands to " +
                              std::to_string(total));
   }
@@ -1217,14 +1207,19 @@ SuiteJournal load_suite_journal(const std::string& path) {
       json::parse(row);  // rows must themselves be strict JSON
       journal.rows[index] = row;
     } catch (const json::ParseError& error) {
-      throw SuiteError("", path + ": journal line " + std::to_string(i + 1) +
+      throw SuiteError("", "journal line " + std::to_string(i + 1) +
                                " row is not valid JSON: " + error.what());
     } catch (const SuiteError& error) {
-      throw SuiteError("", path + ": journal line " + std::to_string(i + 1) + ": " +
-                               error.what());
+      throw SuiteError("", "journal line " + std::to_string(i + 1) + ": " + error.what());
     }
   }
   return journal;
+}
+
+}  // namespace
+
+SuiteJournal load_suite_journal(const std::string& path) {
+  return load_file(path, "journal", parse_journal);
 }
 
 std::vector<std::string> SuiteRunner::run(const SuiteRunOptions& options,
@@ -1291,34 +1286,34 @@ std::vector<std::string> SuiteRunner::run(const SuiteRunOptions& options,
   // global_of maps the runner's dense cell index back to the suite index.
   std::vector<std::size_t> global_of;
 
+  // The two modes differ only in the grid type and the BatchRunner queue
+  // (add / run vs add_stream / run_streams); render_row picks the metrics.
+  const auto enqueue_grid = [&](const auto& grid, const auto& enqueue) {
+    for (std::size_t g = 0; g < grid.size(); ++g) {
+      for (std::size_t p = 0; p < policies; ++p) {
+        const std::size_t global = g * policies + p;
+        if (!rows[global].empty()) continue;
+        enqueue(grid[g], named_policy(spec_.policies[p]));
+        global_of.push_back(global);
+      }
+    }
+  };
+  const auto record_cell = [&](std::size_t cell, const auto& result) {
+    const std::size_t global = global_of[cell];
+    record(global, render_row(spec_, axes[global / policies], result));
+  };
   if (spec_.mode == SuiteSpec::Mode::Batch) {
-    const std::vector<ScenarioSpec> grid = suite_batch_grid(spec_);
-    for (std::size_t g = 0; g < grid.size(); ++g) {
-      for (std::size_t p = 0; p < policies; ++p) {
-        const std::size_t global = g * policies + p;
-        if (!rows[global].empty()) continue;
-        runner.add(grid[g], named_policy(spec_.policies[p]));
-        global_of.push_back(global);
-      }
-    }
-    runner.run([&](std::size_t cell, const ScenarioResult& result) {
-      const std::size_t global = global_of[cell];
-      record(global, render_batch_row(spec_, axes[global / policies], result));
-    });
+    const auto add = [&](const ScenarioSpec& cell, PolicyFactory policy) {
+      runner.add(cell, std::move(policy));
+    };
+    enqueue_grid(suite_batch_grid(spec_), add);
+    runner.run(record_cell);
   } else {
-    const std::vector<StreamSpec> grid = suite_stream_grid(spec_);
-    for (std::size_t g = 0; g < grid.size(); ++g) {
-      for (std::size_t p = 0; p < policies; ++p) {
-        const std::size_t global = g * policies + p;
-        if (!rows[global].empty()) continue;
-        runner.add_stream(grid[g], named_policy(spec_.policies[p]));
-        global_of.push_back(global);
-      }
-    }
-    runner.run_streams([&](std::size_t cell, const StreamResult& result) {
-      const std::size_t global = global_of[cell];
-      record(global, render_stream_row(spec_, axes[global / policies], result));
-    });
+    const auto add = [&](const StreamSpec& cell, PolicyFactory policy) {
+      runner.add_stream(cell, std::move(policy));
+    };
+    enqueue_grid(suite_stream_grid(spec_), add);
+    runner.run_streams(record_cell);
   }
 
   for (std::size_t i = 0; i < total; ++i) {

@@ -30,6 +30,9 @@ Engine::Engine(const Instance& instance, DispatchPolicy& dispatcher,
   queue_pos_receiver_.reserve(n);
   impact_index_.reserve_pending(n);
   result_.outcomes.resize(n);
+  sink_ = [this](RetiredPacket&& retired) {
+    result_.outcomes[static_cast<std::size_t>(retired.id)] = std::move(retired.outcome);
+  };
   // Seed the per-endpoint pending queues: their incremental growth during
   // the run otherwise accounts for most of the run loop's allocations.
   const std::size_t queue_seed = std::min<std::size_t>(n, 16);
@@ -116,11 +119,6 @@ void Engine::init(EngineOptions options) {
   }
 }
 
-bool Engine::work_left() const {
-  return next_arrival_ < instance_->num_packets() || !candidates_.empty() ||
-         !staged_.empty();
-}
-
 // rdcn-lint: hot
 void Engine::append_slot(const Packet& packet) {
   if (packet.id != window_base_ + static_cast<PacketIndex>(state_.size())) {
@@ -148,16 +146,18 @@ void Engine::append_slot(const Packet& packet) {
 void Engine::retire_packet(PacketIndex packet) {
   const std::size_t s = slot(packet);
   if (auditor_) auditor_->on_retire(*this, packet, outcomes_[s]);
-  state_[s].retired = true;
-  --in_flight_;
   ++retired_count_;
   if (probe_) probe_->count(Counter::PacketsRetired);
-  if (sink_) {
-    sink_(RetiredPacket{packet, state_[s].arrival, state_[s].weight,
-                        std::move(outcomes_[s])});
-  } else {
-    result_.outcomes[static_cast<std::size_t>(packet)] = std::move(outcomes_[s]);
-  }
+  deliver(packet);
+}
+
+// rdcn-lint: hot
+void Engine::deliver(PacketIndex packet) {
+  const std::size_t s = slot(packet);
+  state_[s].retired = true;
+  --in_flight_;
+  sink_(RetiredPacket{packet, state_[s].arrival, state_[s].weight,
+                      std::move(outcomes_[s])});
   compact_window();
 }
 
@@ -319,13 +319,7 @@ void Engine::dispatch_arrivals() {
   if (next_arrival_ >= packets.size() || packets[next_arrival_].arrival != now_) return;
   Probe::Span span(probe_, Phase::Dispatch);
   while (next_arrival_ < packets.size() && packets[next_arrival_].arrival == now_) {
-    const Packet& packet = packets[next_arrival_];
-    append_slot(packet);
-    if (dead_edges_ != 0 && !has_viable_route(packet.source, packet.destination)) {
-      drop_packet(packet.id);  // pair severed by failures; nothing to route over
-    } else {
-      apply_route(packet, dispatcher_->dispatch(*this, packet));
-    }
+    admit(packets[next_arrival_]);
     ++next_arrival_;
   }
 }
@@ -336,6 +330,11 @@ void Engine::inject(const Packet& packet) {
     throw std::logic_error("inject: packet.arrival must equal the current step");
   }
   Probe::Span span(probe_, Phase::Dispatch);
+  admit(packet);
+}
+
+// rdcn-lint: hot
+void Engine::admit(const Packet& packet) {
   append_slot(packet);
   if (dead_edges_ != 0 && !has_viable_route(packet.source, packet.destination)) {
     drop_packet(packet.id);  // pair severed by failures; nothing to route over
@@ -389,17 +388,9 @@ void Engine::drop_packet(PacketIndex packet) {
   const std::size_t s = slot(packet);
   outcomes_[s].dropped = true;
   if (auditor_) auditor_->on_drop(*this, packet, outcomes_[s]);
-  state_[s].retired = true;
-  --in_flight_;
   ++dropped_count_;
   if (probe_) probe_->count(Counter::PacketsDropped);
-  if (sink_) {
-    sink_(RetiredPacket{packet, state_[s].arrival, state_[s].weight,
-                        std::move(outcomes_[s])});
-  } else {
-    result_.outcomes[static_cast<std::size_t>(packet)] = std::move(outcomes_[s]);
-  }
-  compact_window();
+  deliver(packet);
 }
 
 // rdcn-lint: hot
@@ -443,54 +434,41 @@ MutationStats Engine::apply_mutation(const StageMutation& mutation) {
     return topology_->source_of(edge.transmitter) == r ||
            topology_->destination_of(edge.receiver) == r;
   };
-  const auto restore_edge = [&](EdgeIndex e) {
-    char& alive = edge_alive_[static_cast<std::size_t>(e)];
-    if (!alive) {
-      alive = 1;
+  const auto set_alive = [&](std::size_t e, bool alive) {
+    if ((edge_alive_[e] != 0) == alive) return;
+    edge_alive_[e] = alive ? 1 : 0;
+    if (alive) {
       --dead_edges_;
       ++stats.edges_restored;
-    }
-  };
-  const auto kill_edge = [&](EdgeIndex e) {
-    char& alive = edge_alive_[static_cast<std::size_t>(e)];
-    if (alive) {
-      alive = 0;
+    } else {
       ++dead_edges_;
       ++stats.edges_killed;
     }
   };
-
+  const auto apply_set = [&](const std::vector<EdgeIndex>& edges,
+                             const std::vector<NodeIndex>& racks, bool alive,
+                             const std::string& verb) {
+    for (EdgeIndex e : edges) {
+      if (e < 0 || e >= topology_->num_edges()) {
+        throw std::invalid_argument("apply_mutation: " + verb +
+                                    "_edges index out of range");
+      }
+      set_alive(static_cast<std::size_t>(e), alive);
+    }
+    for (NodeIndex r : racks) {
+      if (!valid_rack(r)) {
+        throw std::invalid_argument("apply_mutation: " + verb +
+                                    "_racks index out of range");
+      }
+      for (std::size_t i = 0; i < num_edges; ++i) {
+        const auto e = static_cast<EdgeIndex>(i);
+        if (rack_touches(topology_->edge(e), r)) set_alive(i, alive);
+      }
+    }
+  };
   // Restores before kills: an edge named by both stays dead.
-  for (EdgeIndex e : mutation.restore_edges) {
-    if (e < 0 || e >= topology_->num_edges()) {
-      throw std::invalid_argument("apply_mutation: restore_edges index out of range");
-    }
-    restore_edge(e);
-  }
-  for (NodeIndex r : mutation.restore_racks) {
-    if (!valid_rack(r)) {
-      throw std::invalid_argument("apply_mutation: restore_racks index out of range");
-    }
-    for (std::size_t i = 0; i < num_edges; ++i) {
-      const auto e = static_cast<EdgeIndex>(i);
-      if (rack_touches(topology_->edge(e), r)) restore_edge(e);
-    }
-  }
-  for (EdgeIndex e : mutation.kill_edges) {
-    if (e < 0 || e >= topology_->num_edges()) {
-      throw std::invalid_argument("apply_mutation: kill_edges index out of range");
-    }
-    kill_edge(e);
-  }
-  for (NodeIndex r : mutation.kill_racks) {
-    if (!valid_rack(r)) {
-      throw std::invalid_argument("apply_mutation: kill_racks index out of range");
-    }
-    for (std::size_t i = 0; i < num_edges; ++i) {
-      const auto e = static_cast<EdgeIndex>(i);
-      if (rack_touches(topology_->edge(e), r)) kill_edge(e);
-    }
-  }
+  apply_set(mutation.restore_edges, mutation.restore_racks, true, "restore");
+  apply_set(mutation.kill_edges, mutation.kill_racks, false, "kill");
 
   // In-flight packets stranded on freshly-killed edges, in (arrival, id)
   // order so requeue re-dispatch is deterministic and arrival-fair.
@@ -503,13 +481,7 @@ MutationStats Engine::apply_mutation(const StageMutation& mutation) {
         mutation_scratch_.push_back(c.packet);
       }
     }
-    std::sort(mutation_scratch_.begin(), mutation_scratch_.end(),
-              [this](PacketIndex a, PacketIndex b) {
-                const Time aa = state_[slot(a)].arrival;
-                const Time ab = state_[slot(b)].arrival;
-                if (aa != ab) return aa < ab;
-                return a < b;
-              });
+    sort_by_arrival(mutation_scratch_);
     for (PacketIndex p : mutation_scratch_) {
       const std::size_t s = slot(p);
       const bool untouched =
@@ -517,18 +489,11 @@ MutationStats Engine::apply_mutation(const StageMutation& mutation) {
       unlist_pending(p);
       if (mutation.dead_policy == DeadPolicy::Requeue && untouched &&
           has_viable_route(state_[s].source, state_[s].destination)) {
-        remaining_[s] = 0;
-        Packet packet;
-        packet.id = p;
-        packet.arrival = state_[s].arrival;
-        packet.weight = state_[s].weight;
-        packet.source = state_[s].source;
-        packet.destination = state_[s].destination;
         if (auditor_) auditor_->on_requeue(*this, p);
         ++requeued_count_;
         ++stats.packets_requeued;
         if (probe_) probe_->count(Counter::PacketsRequeued);
-        apply_route(packet, dispatcher_->dispatch(*this, packet));
+        redispatch(p);
       } else {
         drop_packet(p);
         ++stats.packets_dropped;
@@ -607,19 +572,27 @@ void Engine::redispatch_queued_packets() {
   for (const Candidate& c : candidates_) {
     if (c.remaining == topology_->edge(c.edge).delay) queued.push_back(c.packet);
   }
-  std::sort(queued.begin(), queued.end(), [this](PacketIndex a, PacketIndex b) {
-    const Time aa = state_[slot(a)].arrival;
-    const Time ab = state_[slot(b)].arrival;
-    if (aa != ab) return aa < ab;
-    return a < b;
-  });
+  sort_by_arrival(queued);
   for (PacketIndex p : queued) {
-    const Packet& packet = instance_->packets()[static_cast<std::size_t>(p)];
     unlist_pending(p);
-    remaining_[slot(p)] = 0;
-    apply_route(packet, dispatcher_->dispatch(*this, packet));
+    redispatch(p);
   }
   merge_staged_candidates();
+}
+
+void Engine::sort_by_arrival(std::vector<PacketIndex>& packets) const {
+  std::sort(packets.begin(), packets.end(), [this](PacketIndex a, PacketIndex b) {
+    const Time aa = state_[slot(a)].arrival;
+    const Time ab = state_[slot(b)].arrival;
+    return aa != ab ? aa < ab : a < b;
+  });
+}
+
+void Engine::redispatch(PacketIndex packet) {
+  const PacketState& ps = state_[slot(packet)];
+  const Packet original{packet, ps.arrival, ps.weight, ps.source, ps.destination};
+  remaining_[slot(packet)] = 0;
+  apply_route(original, dispatcher_->dispatch(*this, original));
 }
 
 // rdcn-lint: hot
@@ -867,28 +840,11 @@ void Engine::finish_step() {
   step_open_ = false;
 }
 
-RunResult Engine::run() {
-  if (instance_ == nullptr) {
-    throw std::logic_error("run() requires batch mode; streaming engines are step-driven");
-  }
-  const auto& packets = instance_->packets();
-  now_ = 0;
-  while (work_left()) {
-    const Time* upcoming =
-        next_arrival_ < packets.size() ? &packets[next_arrival_].arrival : nullptr;
-    begin_step(upcoming);
-    dispatch_arrivals();
-    finish_step();
-  }
-  if (probe_) result_.probe = probe_->report();
-  return std::move(result_);
-}
-
 RunResult Engine::run(const std::vector<TimedMutation>& schedule) {
   if (instance_ == nullptr) {
     throw std::logic_error("run() requires batch mode; streaming engines are step-driven");
   }
-  if (options_.record_trace || options_.redispatch_queued) {
+  if (!schedule.empty() && (options_.record_trace || options_.redispatch_queued)) {
     throw std::invalid_argument(
         "staged runs are incompatible with record_trace / redispatch_queued");
   }
@@ -908,7 +864,7 @@ RunResult Engine::run(const std::vector<TimedMutation>& schedule) {
       apply_mutation(schedule[next_stage].mutation);
       ++next_stage;
     }
-    if (!work_left()) break;
+    if (next_arrival_ >= packets.size() && !busy()) break;
     const Time* upcoming =
         next_arrival_ < packets.size() ? &packets[next_arrival_].arrival : nullptr;
     Time stage_bound = 0;

@@ -14,15 +14,18 @@
 // the 1/(2+eps) slowdown on OPT instead); k > 1 realizes an integral
 // algorithm-side speedup for the ablation experiments.
 //
-// The engine runs in one of two modes sharing the identical stepping code
-// (so a streamed run over a recorded arrival sequence reproduces the batch
-// schedule bit-for-bit):
+// One step core (begin_step / per-packet admit / finish_step) and one
+// retirement path: every completed or dropped packet leaves through a
+// RetireSink. The two constructors differ only in who feeds arrivals and
+// who owns the sink, so a streamed run over a recorded arrival sequence
+// reproduces the batch schedule bit-for-bit:
 //
-//  * batch: constructed from an Instance, run() simulates the whole packet
-//    sequence and returns a RunResult with every PacketOutcome;
-//  * streaming: constructed from a Topology plus a retirement sink; the
-//    caller injects packets online (begin_step / inject / finish_step) and
-//    completed packets leave through the sink instead of accumulating, so
+//  * batch: constructed from an Instance; the engine installs a sink that
+//    records each PacketOutcome by id, and run(schedule) -- the one drive
+//    loop, an empty schedule being the plain run -- feeds the packet
+//    sequence and returns a RunResult with every outcome;
+//  * streaming: constructed from a Topology plus the caller's sink; the
+//    caller injects packets online (begin_step / inject / finish_step), so
 //    resident per-packet state is O(in-flight), not O(total served) --
 //    the mode behind traffic/'s open-loop steady-state runs.
 //
@@ -190,7 +193,7 @@ struct TimedMutation {
   StageMutation mutation;
 };
 
-/// What the streaming retirement sink receives when a packet completes
+/// What the retirement sink receives when a packet completes
 /// (for fixed-route packets: immediately at dispatch; for reconfigurable
 /// routes: at the step its last chunk transmits).
 struct RetiredPacket {
@@ -200,8 +203,8 @@ struct RetiredPacket {
   PacketOutcome outcome;
 };
 
-/// Retirement callback of a streaming engine. Called once per packet, in
-/// completion order (not id order).
+/// Retirement callback. Called once per packet, in completion order (not
+/// id order).
 using RetireSink = std::function<void(RetiredPacket&&)>;
 
 /// Dense remap of the endpoints that currently carry pending candidates
@@ -269,16 +272,17 @@ class Engine {
   Engine(const Topology& topology, DispatchPolicy& dispatcher, SchedulePolicy& scheduler,
          EngineOptions options, RetireSink sink);
 
-  /// Runs the full simulation to completion and returns the result.
-  /// Batch mode only.
-  RunResult run();
+  /// The batch-mode sink captures `this`: an engine stays where it was built.
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
 
-  /// Batch-mode run under a stage schedule: mutations sorted by `at`
-  /// (nondecreasing) are applied at step boundaries so that every step
-  /// with now() >= at executes post-mutation. The idle jump is clamped to
-  /// the next stage edge, so schedules are honored even across arrival
-  /// gaps. Incompatible with record_trace and redispatch_queued.
-  RunResult run(const std::vector<TimedMutation>& schedule);
+  /// Runs the full simulation to completion and returns the result; batch
+  /// mode only. Mutations in `schedule`, sorted by `at` (nondecreasing),
+  /// are applied at step boundaries so that every step with now() >= at
+  /// executes post-mutation. The idle jump is clamped to the next stage
+  /// edge, so schedules are honored even across arrival gaps. A non-empty
+  /// schedule is incompatible with record_trace and redispatch_queued.
+  RunResult run(const std::vector<TimedMutation>& schedule = {});
 
   // --- stage mutations ----------------------------------------------------
 
@@ -348,9 +352,6 @@ class Engine {
 
   // --- read-only view for policies ---------------------------------------
 
-  /// Batch mode only (streaming engines have no Instance); policies use
-  /// topology()/options() and the per-packet accessors below instead.
-  const Instance& instance() const noexcept { return *instance_; }
   const Topology& topology() const noexcept { return *topology_; }
   const EngineOptions& options() const noexcept { return options_; }
   Time now() const noexcept { return now_; }
@@ -445,12 +446,17 @@ class Engine {
   }
   /// Creates the window slot for the next sequential packet id.
   void append_slot(const Packet& packet);
-  /// Moves a completed packet's outcome out of the window (to the sink in
-  /// streaming mode, to result_.outcomes in batch mode) and compacts the
-  /// window's retired prefix.
+  /// Retires a completed packet: audit and count it, then deliver().
   void retire_packet(PacketIndex packet);
+  /// Moves a retired or dropped packet's outcome out of the window into
+  /// the sink and compacts the window's retired prefix.
+  void deliver(PacketIndex packet);
   void compact_window();
   void dispatch_arrivals();
+  /// Routes one arriving packet (the body shared by dispatch_arrivals and
+  /// inject): opens its window slot, then dispatches it, or drops it when
+  /// failures severed its pair.
+  void admit(const Packet& packet);
   /// Applies a dispatch decision to a packet (enqueue on edge or fixed).
   void apply_route(const Packet& packet, const RouteDecision& route);
   /// Folds candidates staged by apply_route into the priority-sorted list.
@@ -462,11 +468,16 @@ class Engine {
                         std::vector<std::int32_t>& position, PacketIndex packet);
   /// Restricted migration: re-dispatches packets with no transmitted chunk.
   void redispatch_queued_packets();
+  /// Sorts packet ids by (arrival, id): the deterministic, arrival-fair
+  /// order in which both re-dispatch paths hand packets back.
+  void sort_by_arrival(std::vector<PacketIndex>& packets) const;
+  /// Hands an unlisted, untransmitted packet back to the dispatcher
+  /// (queued redispatch, and requeue off an edge a mutation killed).
+  void redispatch(PacketIndex packet);
   /// One scheduling round; returns number of chunks transmitted.
   std::size_t schedule_round(bool record);
-  bool work_left() const;
   /// Retires `packet` without completion: marks the outcome dropped and
-  /// delivers it (sink / result_.outcomes) like a normal retirement.
+  /// delivers it like a normal retirement.
   void drop_packet(PacketIndex packet);
   /// Verifies the incremental impact index against a rebuild from scratch
   /// (integer loads always; treap splits when the weight structures are
@@ -479,7 +490,9 @@ class Engine {
   DispatchPolicy* dispatcher_;
   SchedulePolicy* scheduler_;
   EngineOptions options_;
-  RetireSink sink_;  ///< set iff streaming mode
+  /// Every retirement goes here: the caller's sink when streaming, an
+  /// outcome recorder into result_ in batch mode.
+  RetireSink sink_;
   std::unique_ptr<EngineObserver> auditor_;  ///< set iff options_.audit
   std::unique_ptr<Probe> probe_store_;  ///< set iff options_.probe.enabled
   /// Raw mirror of probe_store_: the hot-path sites branch on one pointer;

@@ -27,6 +27,7 @@
 #include "run/batch.hpp"
 #include "run/policies.hpp"
 #include "run/scenario.hpp"
+#include "run/stream.hpp"
 #include "util/atomic_file.hpp"
 #include "util/fault.hpp"
 
@@ -341,19 +342,74 @@ TEST(RunPolicy, IsolateStreamCellReportsErrorToo) {
   EXPECT_EQ(results[0].scenario, "failing-stream");
 }
 
+/// A small generative stream cell; `fail_with` non-empty makes every
+/// repetition throw it from trace construction.
+StreamSpec small_stream(const std::string& fail_with = "") {
+  StreamSpec spec;
+  spec.name = fail_with.empty() ? "stream" : "failing-stream";
+  spec.topology = small_spec().topology;
+  spec.traffic.rho = 0.6;
+  spec.repetitions = 2;
+  spec.warmup_packets = 20;
+  spec.measure_packets = 100;
+  if (!fail_with.empty()) {
+    spec.make_trace = [fail_with](std::uint64_t) -> Instance {
+      throw std::runtime_error(fail_with);
+    };
+  }
+  return spec;
+}
+
 TEST(RunPolicy, CellDoneCallbackFiresOncePerCell) {
-  std::mutex mutex;
-  std::vector<std::size_t> done;
-  BatchRunner batch(2);
-  batch.add(small_spec(), alg_policy());
-  batch.add(small_spec(), named_policy("fifo"));
-  batch.run([&](std::size_t cell, const ScenarioResult& result) {
-    EXPECT_FALSE(result.error.failed);
-    const std::lock_guard<std::mutex> lock(mutex);
-    done.push_back(cell);
-  });
-  std::sort(done.begin(), done.end());
-  EXPECT_EQ(done, (std::vector<std::size_t>{0, 1}));
+  // One contract for both cell kinds: a healthy cell fires exactly once;
+  // a failed cell fires with error.failed set under isolate, and never
+  // under fail_fast (a journaled error row would survive a resume).
+  // Cells 0 and 2 are healthy, cell 1 fails.
+  using Cells = std::vector<std::size_t>;
+  const auto check = [](const char* kind, const auto& add_cells, const auto& drain) {
+    for (const bool isolate : {false, true}) {
+      SCOPED_TRACE(std::string(kind) + (isolate ? " isolate" : " fail_fast"));
+      std::mutex mutex;
+      Cells done;
+      Cells failed;
+      RunPolicy policy;
+      policy.failure = isolate ? FailurePolicy::Isolate : FailurePolicy::FailFast;
+      BatchRunner batch(2);
+      batch.set_policy(policy);
+      add_cells(batch);
+      const auto on_done = [&](std::size_t cell, const auto& result) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        done.push_back(cell);
+        if (result.error.failed) failed.push_back(cell);
+      };
+      if (isolate) {
+        drain(batch, on_done);
+      } else {
+        EXPECT_THROW(drain(batch, on_done), std::runtime_error);
+      }
+      std::sort(done.begin(), done.end());
+      EXPECT_EQ(done, (isolate ? Cells{0, 1, 2} : Cells{0, 2}));
+      EXPECT_EQ(failed, (isolate ? Cells{1} : Cells{}));
+    }
+  };
+  const auto add_batch = [](BatchRunner& batch) {
+    batch.add(small_spec(), alg_policy());
+    batch.add(failing_spec("cell exploded"), alg_policy());
+    batch.add(small_spec(), named_policy("fifo"));
+  };
+  const auto run_batch = [](BatchRunner& batch, const auto& on_done) {
+    batch.run(on_done);
+  };
+  check("batch", add_batch, run_batch);
+  const auto add_stream = [](BatchRunner& batch) {
+    batch.add_stream(small_stream(), alg_policy());
+    batch.add_stream(small_stream("trace failed"), alg_policy());
+    batch.add_stream(small_stream(), named_policy("fifo"));
+  };
+  const auto run_streams = [](BatchRunner& batch, const auto& on_done) {
+    batch.run_streams(on_done);
+  };
+  check("stream", add_stream, run_streams);
 }
 
 }  // namespace

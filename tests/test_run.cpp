@@ -17,6 +17,7 @@
 #include "run/batch.hpp"
 #include "run/policies.hpp"
 #include "run/scenario.hpp"
+#include "run/stream.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rdcn {
@@ -196,6 +197,68 @@ TEST(BatchRunner, RunClearsTheQueue) {
   EXPECT_EQ(batch.run().size(), 1u);
   EXPECT_EQ(batch.cells(), 0u);
   EXPECT_TRUE(batch.run().empty());
+}
+
+TEST(BatchRunner, ScenarioAndStreamQueuesAreIndependent) {
+  // One runner holding both cell kinds: each run drains only its own
+  // queue, and the results equal those of two single-kind runners.
+  StreamSpec stream;
+  stream.name = "stream";
+  stream.topology = small_spec().topology;
+  stream.traffic.rho = 0.6;
+  stream.repetitions = 2;
+  stream.warmup_packets = 20;
+  stream.measure_packets = 100;
+  const auto policies = std::vector<PolicyFactory>{alg_policy(), named_policy("fifo")};
+
+  BatchRunner mixed(2);
+  mixed.add_grid(small_spec(), policies);
+  mixed.add_stream_grid(stream, policies);
+  const std::vector<ScenarioResult> scenario = mixed.run();
+  EXPECT_EQ(mixed.cells(), 0u);
+  EXPECT_EQ(mixed.stream_cells(), 2u);
+  mixed.add(small_spec(), alg_policy());
+  const std::vector<StreamResult> streamed = mixed.run_streams();
+  EXPECT_EQ(mixed.stream_cells(), 0u);
+  EXPECT_EQ(mixed.cells(), 1u);
+
+  BatchRunner scenario_only(2);
+  scenario_only.add_grid(small_spec(), policies);
+  const std::vector<ScenarioResult> expected_scenario = scenario_only.run();
+  BatchRunner stream_only(2);
+  stream_only.add_stream_grid(stream, policies);
+  const std::vector<StreamResult> expected_stream = stream_only.run_streams();
+
+  ASSERT_EQ(scenario.size(), expected_scenario.size());
+  for (std::size_t c = 0; c < scenario.size(); ++c) {
+    EXPECT_EQ(scenario[c].policy, expected_scenario[c].policy);
+    ASSERT_EQ(scenario[c].repetitions.size(), expected_scenario[c].repetitions.size());
+    for (std::size_t r = 0; r < scenario[c].repetitions.size(); ++r) {
+      EXPECT_EQ(scenario[c].repetitions[r].total_cost,
+                expected_scenario[c].repetitions[r].total_cost);
+      EXPECT_EQ(scenario[c].repetitions[r].makespan,
+                expected_scenario[c].repetitions[r].makespan);
+    }
+  }
+  ASSERT_EQ(streamed.size(), expected_stream.size());
+  for (std::size_t c = 0; c < streamed.size(); ++c) {
+    EXPECT_EQ(streamed[c].policy, expected_stream[c].policy);
+    ASSERT_EQ(streamed[c].repetitions.size(), expected_stream[c].repetitions.size());
+    for (std::size_t r = 0; r < streamed[c].repetitions.size(); ++r) {
+      const StreamRepOutcome& got = streamed[c].repetitions[r];
+      const StreamRepOutcome& want = expected_stream[c].repetitions[r];
+      EXPECT_GT(got.served, 0u);
+      EXPECT_EQ(got.served, want.served);
+      EXPECT_EQ(got.steps, want.steps);
+      EXPECT_EQ(got.total_cost, want.total_cost);
+      EXPECT_EQ(got.mean_latency, want.mean_latency);
+    }
+  }
+
+  // The scenario cell queued between the two runs is still there.
+  const std::vector<ScenarioResult> late = mixed.run();
+  ASSERT_EQ(late.size(), 1u);
+  EXPECT_EQ(late[0].cost.mean(), expected_scenario[0].cost.mean());
 }
 
 TEST(BatchRunner, MetricsTravelThroughThePool) {

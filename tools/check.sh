@@ -210,4 +210,10 @@ RDCN_SUITE_FAULT="transient@zipf" "$build/rdcn_cli" suite "$build/resume_smoke.j
     --threads 1 --attempts 2 --backoff-ms 1 > "$build/resume_retry.out" 2>/dev/null
 cmp <(strip_wall "$build/resume_ref.out") <(strip_wall "$build/resume_retry.out")
 
+echo "== benchmark self-test =="
+# rdcnbench builds its own Release tree (.bench_build/rdcnbench) from src/
+# and checks that its stream loop reproduces StreamRunner and that audited
+# runs match unaudited ones; engine or runner changes must keep both true.
+python3 "$repo/rdcnbench/run.py" --selftest
+
 echo "check.sh: all stages passed"
