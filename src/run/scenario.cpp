@@ -39,17 +39,6 @@ Topology make_topology(const TopologySpec& spec, std::uint64_t rep_seed) {
   throw std::logic_error("unknown TopologySpec kind");
 }
 
-const char* to_string(TopologySpec::Kind kind) {
-  switch (kind) {
-    case TopologySpec::Kind::TwoTier: return "two_tier";
-    case TopologySpec::Kind::Crossbar: return "crossbar";
-    case TopologySpec::Kind::Oversubscribed: return "oversubscribed";
-    case TopologySpec::Kind::Expander: return "expander";
-    case TopologySpec::Kind::Rotor: return "rotor";
-  }
-  return "unknown";
-}
-
 ScenarioRunner::ScenarioRunner(ScenarioSpec spec) : spec_(std::move(spec)) {
   if (spec_.repetitions == 0) throw std::invalid_argument("scenario needs >= 1 repetition");
 }

@@ -18,6 +18,7 @@
 #include "run/failure.hpp"
 #include "run/policies.hpp"
 #include "sim/engine.hpp"
+#include "util/enum_names.hpp"
 #include "util/stats.hpp"
 #include "workload/generator.hpp"
 
@@ -44,10 +45,17 @@ struct TopologySpec {
   bool fixed_wiring = false;
 };
 
-/// Registry-style names of the topology kinds ("two_tier", "crossbar",
-/// "oversubscribed", "expander", "rotor"); shared by suite files, CLI
+/// Registry-style names of the topology kinds, shared by suite files, CLI
 /// output and test parameterization.
-const char* to_string(TopologySpec::Kind kind);
+inline std::span<const EnumName<TopologySpec::Kind>> enum_names(TopologySpec::Kind) {
+  using Kind = TopologySpec::Kind;
+  static constexpr EnumName<Kind> kNames[] = {{Kind::TwoTier, "two_tier"},
+                                              {Kind::Crossbar, "crossbar"},
+                                              {Kind::Oversubscribed, "oversubscribed"},
+                                              {Kind::Expander, "expander"},
+                                              {Kind::Rotor, "rotor"}};
+  return kNames;
+}
 
 /// Builds the topology for one repetition of the spec.
 Topology make_topology(const TopologySpec& spec, std::uint64_t rep_seed);

@@ -21,9 +21,31 @@
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "traffic/source.hpp"
+#include "util/enum_names.hpp"
 #include "util/stats.hpp"
 
 namespace rdcn {
+
+/// Spellings of the traffic and stage enums, shared by suite files, CLI
+/// flags and summaries. Trace has none: traces are replayed files, never
+/// a configured process.
+inline std::span<const EnumName<ArrivalProcess>> enum_names(ArrivalProcess) {
+  static constexpr EnumName<ArrivalProcess> kNames[] = {
+      {ArrivalProcess::Poisson, "poisson"}, {ArrivalProcess::OnOff, "onoff"}};
+  return kNames;
+}
+
+inline std::span<const EnumName<CapacityModel>> enum_names(CapacityModel) {
+  static constexpr EnumName<CapacityModel> kNames[] = {
+      {CapacityModel::Ports, "ports"}, {CapacityModel::MaxMatching, "max_matching"}};
+  return kNames;
+}
+
+inline std::span<const EnumName<DeadPolicy>> enum_names(DeadPolicy) {
+  static constexpr EnumName<DeadPolicy> kNames[] = {{DeadPolicy::Drop, "drop"},
+                                                    {DeadPolicy::Requeue, "requeue"}};
+  return kNames;
+}
 
 /// One stage of a time-staged dynamic scenario (gst-mprtp's PathStage
 /// pattern): traffic overrides held for `duration` steps plus an engine

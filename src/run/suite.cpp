@@ -1,32 +1,65 @@
 #include "run/suite.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <concepts>
 #include <fstream>
 #include <limits>
 #include <mutex>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "run/batch.hpp"
 #include "run/policies.hpp"
 #include "util/atomic_file.hpp"
+#include "util/enum_names.hpp"
 #include "util/json.hpp"
 
 namespace rdcn {
 
+/// Suite modes are spelled only in suite documents and result rows.
+std::span<const EnumName<SuiteSpec::Mode>> enum_names(SuiteSpec::Mode) {
+  static constexpr EnumName<SuiteSpec::Mode> kNames[] = {
+      {SuiteSpec::Mode::Batch, "batch"}, {SuiteSpec::Mode::Stream, "stream"}};
+  return kNames;
+}
+
 namespace {
 
-// --- strict object reading --------------------------------------------------
+// --- strict value reading ---------------------------------------------------
+
+[[noreturn]] void type_error(const std::string& path, const char* expected,
+                             const json::Value& found) {
+  throw SuiteError(path,
+                   std::string("expected ") + expected + ", found " + found.type_name());
+}
+
+std::string element_path(const std::string& path, std::size_t index) {
+  return path + "[" + std::to_string(index) + "]";
+}
+
+const json::Array& array_at(const json::Value& value, const std::string& path) {
+  if (!value.is_array()) type_error(path, "an array", value);
+  return value.as_array();
+}
+
+std::int64_t integer_at(const json::Value& value, const std::string& path,
+                        std::int64_t lo, std::int64_t hi) {
+  if (!value.is_integer()) type_error(path, "an integer", value);
+  const std::int64_t parsed = value.as_integer();
+  if (parsed < lo || parsed > hi) {
+    throw SuiteError(path, std::to_string(parsed) + " is out of range [" +
+                               std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return parsed;
+}
 
 /// Wraps one JSON object: typed getters with range checks, every error
 /// carrying the full path, and unknown-key rejection in finish().
 class Fields {
  public:
   Fields(const json::Value& value, std::string path) : path_(std::move(path)) {
-    if (!value.is_object()) {
-      throw SuiteError(path_, std::string("expected an object, found ") + value.type_name());
-    }
+    if (!value.is_object()) type_error(path_, "an object", value);
     object_ = &value.as_object();
   }
 
@@ -35,7 +68,9 @@ class Fields {
   }
 
   const json::Value* member(const char* key) {
-    allowed_.emplace_back(key);
+    if (std::find(allowed_.begin(), allowed_.end(), key) == allowed_.end()) {
+      allowed_.emplace_back(key);
+    }
     for (const json::Member& entry : *object_) {
       if (entry.first == key) return &entry.second;
     }
@@ -45,47 +80,25 @@ class Fields {
   std::string str(const char* key, const std::string& fallback) {
     const json::Value* value = member(key);
     if (!value) return fallback;
-    if (!value->is_string()) {
-      throw SuiteError(path_of(key),
-                       std::string("expected a string, found ") + value->type_name());
-    }
+    if (!value->is_string()) type_error(path_of(key), "a string", *value);
     return value->as_string();
   }
 
   std::string required_str(const char* key) {
-    const json::Value* value = member(key);
-    if (!value) throw SuiteError(path_of(key), "required key is missing");
-    if (!value->is_string()) {
-      throw SuiteError(path_of(key),
-                       std::string("expected a string, found ") + value->type_name());
-    }
-    return value->as_string();
+    if (!member(key)) throw SuiteError(path_of(key), "required key is missing");
+    return str(key, "");
   }
 
   std::int64_t integer(const char* key, std::int64_t fallback, std::int64_t lo,
                        std::int64_t hi) {
     const json::Value* value = member(key);
-    if (!value) return fallback;
-    if (!value->is_integer()) {
-      throw SuiteError(path_of(key),
-                       std::string("expected an integer, found ") + value->type_name());
-    }
-    const std::int64_t parsed = value->as_integer();
-    if (parsed < lo || parsed > hi) {
-      throw SuiteError(path_of(key), std::to_string(parsed) + " is out of range [" +
-                                         std::to_string(lo) + ", " + std::to_string(hi) +
-                                         "]");
-    }
-    return parsed;
+    return value ? integer_at(*value, path_of(key), lo, hi) : fallback;
   }
 
   double real(const char* key, double fallback, double lo, double hi) {
     const json::Value* value = member(key);
     if (!value) return fallback;
-    if (!value->is_number()) {
-      throw SuiteError(path_of(key),
-                       std::string("expected a number, found ") + value->type_name());
-    }
+    if (!value->is_number()) type_error(path_of(key), "a number", *value);
     const double parsed = value->as_number();
     if (!(parsed >= lo && parsed <= hi)) {
       std::ostringstream what;
@@ -98,10 +111,7 @@ class Fields {
   bool boolean(const char* key, bool fallback) {
     const json::Value* value = member(key);
     if (!value) return fallback;
-    if (!value->is_bool()) {
-      throw SuiteError(path_of(key),
-                       std::string("expected true or false, found ") + value->type_name());
-    }
+    if (!value->is_bool()) type_error(path_of(key), "true or false", *value);
     return value->as_bool();
   }
 
@@ -124,309 +134,448 @@ class Fields {
   std::vector<std::string> allowed_;
 };
 
-template <typename Enum>
-Enum parse_enum(const std::string& path, const std::string& text,
-                std::initializer_list<std::pair<const char*, Enum>> mapping) {
-  std::string known;
-  for (const auto& [name, value] : mapping) {
-    if (text == name) return value;
-    known += std::string(" ") + name;
-  }
-  throw SuiteError(path, "unknown value \"" + text + "\"; known:" + known);
+// --- the two walkers of a schema -------------------------------------------
+//
+// Every suite spec struct is described once, by a visit(io, value) field
+// list further down: each entry names its key, member, type and range.
+// Reader walks a list to parse strictly, Writer walks the same list to
+// emit the normalized form, so a key cannot be read one way and written
+// another. Cross-field rules go through io.check(), which only the Reader
+// enforces.
+
+/// Labels name result cells "<suite>/<topology>/<variant>/<engine>".
+template <class IO>
+void check_label(IO& io, const char* key, const std::string& label) {
+  io.check(key, !label.empty(), [] { return "labels must be non-empty"; });
+  io.check(key, label.find('/') == std::string::npos, [&label] {
+    return "label \"" + label + "\" may not contain '/' (labels compose cell names)";
+  });
 }
+
+/// The key every axis entry's label is read from and written to.
+constexpr const char* kLabelKey = "name";
+
+template <typename Entry>
+void check_unique_labels(const std::string& axis, const std::vector<Entry>& entries) {
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    for (std::size_t j = i + 1; j < entries.size(); ++j) {
+      if (entries[i].label == entries[j].label) {
+        throw SuiteError(element_path(axis, j) + "." + kLabelKey,
+                         "duplicate label \"" + entries[j].label +
+                             "\"; give each axis entry a distinct \"name\"");
+      }
+    }
+  }
+}
+
+std::vector<StageSpec> read_stages(const json::Value& value, const std::string& path);
+
+/// Parses through a visit() list: an absent key keeps the member's
+/// default, a present one is type- and range-checked, and finish()
+/// rejects every key the list did not name.
+class Reader {
+ public:
+  Reader(const json::Value& value, std::string path) : fields_(value, std::move(path)) {}
+
+  template <std::integral Int>
+  void field(const char* key, Int& member, std::int64_t lo, std::int64_t hi) {
+    member =
+        static_cast<Int>(fields_.integer(key, static_cast<std::int64_t>(member), lo, hi));
+  }
+  void field(const char* key, double& member, double lo, double hi) {
+    member = fields_.real(key, member, lo, hi);
+  }
+  void field(const char* key, bool& member) { member = fields_.boolean(key, member); }
+  void field(const char* key, std::string& member) { member = fields_.str(key, member); }
+
+  template <NamedEnum Enum>
+  void field(const char* key, Enum& member) {
+    const std::string text = fields_.str(key, to_string(member));
+    const std::optional<Enum> value = from_string<Enum>(text);
+    if (!value) {
+      throw SuiteError(fields_.path_of(key),
+                       "unknown value \"" + text + "\"; known:" + known_names<Enum>());
+    }
+    member = *value;
+  }
+
+  /// An edge or rack index list; element errors name "path.key[j]".
+  template <class Index>
+  void field(const char* key, std::vector<Index>& member, std::int64_t hi) {
+    const json::Value* value = fields_.member(key);
+    if (!value) return;
+    const std::string path = fields_.path_of(key);
+    const json::Array& elements = array_at(*value, path);
+    member.clear();
+    for (std::size_t i = 0; i < elements.size(); ++i) {
+      member.push_back(
+          static_cast<Index>(integer_at(elements[i], element_path(path, i), 0, hi)));
+    }
+  }
+
+  template <class T>
+  void required(const char* key, T& member) {
+    if (!fields_.member(key)) {
+      throw SuiteError(fields_.path_of(key), "required key is missing");
+    }
+    field(key, member);
+  }
+
+  /// An axis entry's label, resolved after its config so the default can
+  /// derive from it.
+  void label(const char* key, std::string& member, const std::string& fallback) {
+    member = fields_.str(key, fallback);
+    check_label(*this, key, member);
+  }
+
+  template <class Message>
+  void check(const char* key, bool ok, const Message& message) const {
+    if (!ok) throw SuiteError(fields_.path_of(key), message());
+  }
+
+  /// A nested object of plain fields ("seeds", "stream").
+  template <class Visit>
+  void block(const char* key, const char* misplaced, const Visit& visit_block) {
+    const json::Value* value = placed(key, misplaced);
+    if (!value) return;
+    Reader reader(*value, fields_.path_of(key));
+    visit_block(reader);
+    reader.finish();
+  }
+
+  /// A grid axis: labelled entries, unique per axis. `misplaced` (set when
+  /// the suite's mode has no use for the axis) rejects a non-empty one.
+  template <class Entry>
+  void axis(const char* key, std::vector<Entry>& entries, bool required,
+            const char* misplaced) {
+    const json::Value* value = fields_.member(key);
+    const std::string path = fields_.path_of(key);
+    if (!value) {
+      if (required) throw SuiteError(path, "required key is missing");
+      return;
+    }
+    const json::Array& elements = array_at(*value, path);
+    if (required && elements.empty()) throw SuiteError(path, "needs at least one entry");
+    for (std::size_t i = 0; i < elements.size(); ++i) {
+      Reader reader(elements[i], element_path(path, i));
+      visit(reader, entries.emplace_back());
+      reader.finish();
+    }
+    check_unique_labels(path, entries);
+    if (misplaced && !entries.empty()) throw SuiteError(path, misplaced);
+  }
+
+  void stages(const char* key, std::vector<StageSpec>& schedule, const char* misplaced) {
+    if (const json::Value* value = placed(key, misplaced)) {
+      schedule = read_stages(*value, fields_.path_of(key));
+    }
+  }
+
+  /// Registry policy names: required, non-empty, no repeats. Validated
+  /// here so a typo fails at parse time.
+  void policies(const char* key, std::vector<std::string>& names) {
+    const json::Value* value = fields_.member(key);
+    const std::string path = fields_.path_of(key);
+    if (!value) throw SuiteError(path, "required key is missing");
+    const json::Array& elements = array_at(*value, path);
+    if (elements.empty()) throw SuiteError(path, "needs at least one policy");
+    for (std::size_t i = 0; i < elements.size(); ++i) {
+      const std::string at = element_path(path, i);
+      if (!elements[i].is_string()) type_error(at, "a string", elements[i]);
+      const std::string& name = elements[i].as_string();
+      try {
+        (void)named_policy(name);
+      } catch (const std::invalid_argument&) {
+        std::string known;
+        for (const std::string& entry : policy_names()) known += " " + entry;
+        throw SuiteError(at, "unknown policy \"" + name + "\"; registry:" + known);
+      }
+      if (std::find(names.begin(), names.end(), name) != names.end()) {
+        throw SuiteError(at, "duplicate policy \"" + name + "\"");
+      }
+      names.push_back(name);
+    }
+  }
+
+  void finish() const { fields_.finish(); }
+
+ private:
+  /// The key's value, or nullptr; a key the suite's mode forbids
+  /// (`misplaced` set) is an error when present at all.
+  const json::Value* placed(const char* key, const char* misplaced) {
+    const json::Value* value = fields_.member(key);
+    if (value && misplaced) throw SuiteError(fields_.path_of(key), misplaced);
+    return value;
+  }
+
+  Fields fields_;
+};
+
+/// Emits through a visit() list: every key in list order with its value,
+/// defaults included -- the normalized form.
+class Writer {
+ public:
+  template <class T, class... Range>
+  void field(const char* key, const T& member, const Range&... /*range*/) {
+    object_.emplace_back(key, encode(member));
+  }
+
+  template <class T>
+  void required(const char* key, const T& member) {
+    field(key, member);
+  }
+
+  /// Labels lead their object, though the reader resolves them last.
+  void label(const char* key, const std::string& member,
+             const std::string& /*fallback*/) {
+    object_.emplace(object_.begin(), key, member);
+  }
+
+  template <class Message>
+  void check(const char* /*key*/, bool /*ok*/, const Message& /*message*/) const {}
+
+  template <class Visit>
+  void block(const char* key, const char* misplaced, const Visit& visit_block) {
+    if (misplaced) return;
+    Writer writer;
+    visit_block(writer);
+    object_.emplace_back(key, writer.take());
+  }
+
+  template <class Entry>
+  void axis(const char* key, std::vector<Entry>& entries, bool /*required*/,
+            const char* misplaced) {
+    if (!misplaced) object_.emplace_back(key, list(entries));
+  }
+
+  void stages(const char* key, std::vector<StageSpec>& schedule, const char* misplaced) {
+    if (!misplaced && !schedule.empty()) object_.emplace_back(key, list(schedule));
+  }
+
+  void policies(const char* key, const std::vector<std::string>& names) {
+    field(key, names);
+  }
+
+  json::Value take() { return json::Value(std::move(object_)); }
+
+ private:
+  template <class Entry>
+  static json::Value list(std::vector<Entry>& entries) {
+    json::Array array;
+    for (Entry& entry : entries) {
+      Writer writer;
+      visit(writer, entry);
+      array.push_back(writer.take());
+    }
+    return json::Value(std::move(array));
+  }
+
+  template <class T>
+  static json::Value encode(const T& value) {
+    if constexpr (std::is_enum_v<T>) {
+      return to_string(value);
+    } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+      return static_cast<std::int64_t>(value);
+    } else if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double> ||
+                         std::is_same_v<T, std::string>) {
+      return value;
+    } else {  // an index or name list
+      json::Array array;
+      for (const auto& element : value) array.push_back(encode(element));
+      return json::Value(std::move(array));
+    }
+  }
+
+  json::Object object_;
+};
+
+// --- the schema -------------------------------------------------------------
 
 constexpr std::int64_t kMaxDelay = 1'000'000;
 constexpr std::int64_t kMaxPorts = 256;
 constexpr std::int64_t kMaxRacks = 4096;
+constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+/// Stage edge indices are checked against the topology at run time
+/// (Engine::apply_mutation -- the grid may span several topologies); this
+/// cap only rejects nonsense.
+constexpr std::int64_t kMaxEdgeIndex = 100'000'000;
 
-// --- axis entry parsers -----------------------------------------------------
+template <class IO>
+void at_most(IO& io, const char* key, std::int64_t value, std::int64_t bound,
+             const char* bound_name, const char* note = "") {
+  io.check(key, value <= bound, [&] {
+    return std::to_string(value) + " exceeds " + bound_name + " (" +
+           std::to_string(bound) + ")" + note;
+  });
+}
 
-TopologySpec parse_topology(Fields& fields) {
-  TopologySpec spec;
-  const std::string kind = fields.required_str("kind");
-  spec.kind = parse_enum<TopologySpec::Kind>(
-      fields.path_of("kind"), kind,
-      {{"two_tier", TopologySpec::Kind::TwoTier},
-       {"crossbar", TopologySpec::Kind::Crossbar},
-       {"oversubscribed", TopologySpec::Kind::Oversubscribed},
-       {"expander", TopologySpec::Kind::Expander},
-       {"rotor", TopologySpec::Kind::Rotor}});
-  spec.seed_salt = static_cast<std::uint64_t>(
-      fields.integer("seed_salt", 0, 0, std::numeric_limits<std::int64_t>::max()));
-  spec.fixed_wiring = fields.boolean("fixed_wiring", false);
+template <class IO>
+void at_least(IO& io, const char* key, std::int64_t value, std::int64_t bound,
+              const char* bound_name) {
+  io.check(key, value >= bound, [&] {
+    return std::to_string(value) + " is below " + bound_name + " (" +
+           std::to_string(bound) + ")";
+  });
+}
 
+/// Stage traffic overrides: the range admits the -1 "inherit" sentinel,
+/// this rejects the dead zone between it and the legal values.
+template <class IO>
+void inherit_or(IO& io, const char* key, double value, const char* requirement) {
+  io.check(key, value == -1.0 || value > 0.0, [requirement] {
+    return std::string(requirement) + ", or -1 to inherit the traffic axis";
+  });
+}
+
+template <class IO>
+void visit(IO& io, TwoTierConfig& net) {
+  io.field("racks", net.racks, 2, kMaxRacks);
+  io.field("lasers", net.lasers_per_rack, 1, kMaxPorts);
+  io.field("photodetectors", net.photodetectors_per_rack, 1, kMaxPorts);
+  io.field("density", net.density, 0.0, 1.0);
+  io.field("max_edge_delay", net.max_edge_delay, 1, kMaxDelay);
+  io.field("attach_delay", net.attach_delay, 0, kMaxDelay);
+  io.field("fixed_link_delay", net.fixed_link_delay, 0, kMaxDelay);
+  io.field("allow_self_edges", net.allow_self_edges);
+}
+
+template <class IO>
+void visit(IO& io, OversubscribedConfig& net) {
+  io.field("racks", net.racks, 2, kMaxRacks);
+  io.field("hot_racks", net.hot_racks, 0, kMaxRacks);
+  at_most(io, "hot_racks", net.hot_racks, net.racks, "racks");
+  io.field("hot_lasers", net.hot_lasers, 1, kMaxPorts);
+  io.field("hot_photodetectors", net.hot_photodetectors, 1, kMaxPorts);
+  io.field("cold_lasers", net.cold_lasers, 1, kMaxPorts);
+  io.field("cold_photodetectors", net.cold_photodetectors, 1, kMaxPorts);
+  io.field("density", net.density, 0.0, 1.0);
+  io.field("fast_delay", net.fast_delay, 1, kMaxDelay);
+  io.field("slow_delay", net.slow_delay, 1, kMaxDelay);
+  at_least(io, "slow_delay", net.slow_delay, net.fast_delay, "fast_delay");
+  io.field("slow_fraction", net.slow_fraction, 0.0, 1.0);
+  io.field("attach_delay", net.attach_delay, 0, kMaxDelay);
+  io.field("fixed_base_delay", net.fixed_base_delay, 0, kMaxDelay);
+  io.field("oversubscription", net.oversubscription, 1.0, 64.0);
+}
+
+template <class IO>
+void visit(IO& io, ExpanderConfig& net) {
+  io.field("racks", net.racks, 2, kMaxRacks);
+  io.field("degree", net.degree, 1, kMaxRacks);
+  at_most(io, "degree", net.degree, net.racks - 1, "racks - 1");
+  io.field("lasers", net.lasers_per_rack, 1, kMaxPorts);
+  io.field("photodetectors", net.photodetectors_per_rack, 1, kMaxPorts);
+  io.field("min_edge_delay", net.min_edge_delay, 1, kMaxDelay);
+  io.field("max_edge_delay", net.max_edge_delay, 1, kMaxDelay);
+  at_least(io, "max_edge_delay", net.max_edge_delay, net.min_edge_delay,
+           "min_edge_delay");
+  io.field("attach_delay", net.attach_delay, 0, kMaxDelay);
+  io.field("fixed_link_delay", net.fixed_link_delay, 0, kMaxDelay);
+}
+
+template <class IO>
+void visit(IO& io, RotorConfig& net) {
+  io.field("racks", net.racks, 2, kMaxRacks);
+  io.field("ports", net.ports_per_rack, 1, kMaxPorts);
+  io.field("matchings", net.num_matchings, 0, kMaxRacks);
+  at_most(io, "matchings", net.num_matchings, net.racks - 1, "racks - 1",
+          "; 0 selects all offsets");
+  io.field("edge_delay", net.edge_delay, 1, kMaxDelay);
+  io.field("attach_delay", net.attach_delay, 0, kMaxDelay);
+  io.field("fixed_link_delay", net.fixed_link_delay, 0, kMaxDelay);
+}
+
+/// The kind picks which config's keys the object holds.
+template <class IO>
+void visit(IO& io, TopologySpec& spec) {
+  io.required("kind", spec.kind);
   switch (spec.kind) {
-    case TopologySpec::Kind::TwoTier: {
-      auto& net = spec.two_tier;
-      net.racks = static_cast<NodeIndex>(fields.integer("racks", net.racks, 2, kMaxRacks));
-      net.lasers_per_rack =
-          static_cast<NodeIndex>(fields.integer("lasers", net.lasers_per_rack, 1, kMaxPorts));
-      net.photodetectors_per_rack = static_cast<NodeIndex>(
-          fields.integer("photodetectors", net.photodetectors_per_rack, 1, kMaxPorts));
-      net.density = fields.real("density", net.density, 0.0, 1.0);
-      net.max_edge_delay =
-          static_cast<Delay>(fields.integer("max_edge_delay", net.max_edge_delay, 1, kMaxDelay));
-      net.attach_delay =
-          static_cast<Delay>(fields.integer("attach_delay", net.attach_delay, 0, kMaxDelay));
-      net.fixed_link_delay = static_cast<Delay>(
-          fields.integer("fixed_link_delay", net.fixed_link_delay, 0, kMaxDelay));
-      net.allow_self_edges = fields.boolean("allow_self_edges", net.allow_self_edges);
+    case TopologySpec::Kind::TwoTier:
+      visit(io, spec.two_tier);
       break;
-    }
     case TopologySpec::Kind::Crossbar:
-      spec.crossbar_ports =
-          static_cast<NodeIndex>(fields.integer("ports", spec.crossbar_ports, 2, kMaxRacks));
+      io.field("ports", spec.crossbar_ports, 2, kMaxRacks);
       break;
-    case TopologySpec::Kind::Oversubscribed: {
-      auto& net = spec.oversubscribed;
-      net.racks = static_cast<NodeIndex>(fields.integer("racks", net.racks, 2, kMaxRacks));
-      net.hot_racks =
-          static_cast<NodeIndex>(fields.integer("hot_racks", net.hot_racks, 0, kMaxRacks));
-      if (net.hot_racks > net.racks) {
-        throw SuiteError(fields.path_of("hot_racks"),
-                         std::to_string(net.hot_racks) + " exceeds racks (" +
-                             std::to_string(net.racks) + ")");
-      }
-      net.hot_lasers =
-          static_cast<NodeIndex>(fields.integer("hot_lasers", net.hot_lasers, 1, kMaxPorts));
-      net.hot_photodetectors = static_cast<NodeIndex>(
-          fields.integer("hot_photodetectors", net.hot_photodetectors, 1, kMaxPorts));
-      net.cold_lasers =
-          static_cast<NodeIndex>(fields.integer("cold_lasers", net.cold_lasers, 1, kMaxPorts));
-      net.cold_photodetectors = static_cast<NodeIndex>(
-          fields.integer("cold_photodetectors", net.cold_photodetectors, 1, kMaxPorts));
-      net.density = fields.real("density", net.density, 0.0, 1.0);
-      net.fast_delay =
-          static_cast<Delay>(fields.integer("fast_delay", net.fast_delay, 1, kMaxDelay));
-      net.slow_delay =
-          static_cast<Delay>(fields.integer("slow_delay", net.slow_delay, 1, kMaxDelay));
-      if (net.slow_delay < net.fast_delay) {
-        throw SuiteError(fields.path_of("slow_delay"),
-                         std::to_string(net.slow_delay) + " is below fast_delay (" +
-                             std::to_string(net.fast_delay) + ")");
-      }
-      net.slow_fraction = fields.real("slow_fraction", net.slow_fraction, 0.0, 1.0);
-      net.attach_delay =
-          static_cast<Delay>(fields.integer("attach_delay", net.attach_delay, 0, kMaxDelay));
-      net.fixed_base_delay = static_cast<Delay>(
-          fields.integer("fixed_base_delay", net.fixed_base_delay, 0, kMaxDelay));
-      net.oversubscription = fields.real("oversubscription", net.oversubscription, 1.0, 64.0);
+    case TopologySpec::Kind::Oversubscribed:
+      visit(io, spec.oversubscribed);
       break;
-    }
-    case TopologySpec::Kind::Expander: {
-      auto& net = spec.expander;
-      net.racks = static_cast<NodeIndex>(fields.integer("racks", net.racks, 2, kMaxRacks));
-      net.degree = static_cast<NodeIndex>(fields.integer("degree", net.degree, 1, kMaxRacks));
-      if (net.degree > net.racks - 1) {
-        throw SuiteError(fields.path_of("degree"),
-                         std::to_string(net.degree) + " exceeds racks - 1 (" +
-                             std::to_string(net.racks - 1) + ")");
-      }
-      net.lasers_per_rack =
-          static_cast<NodeIndex>(fields.integer("lasers", net.lasers_per_rack, 1, kMaxPorts));
-      net.photodetectors_per_rack = static_cast<NodeIndex>(
-          fields.integer("photodetectors", net.photodetectors_per_rack, 1, kMaxPorts));
-      net.min_edge_delay =
-          static_cast<Delay>(fields.integer("min_edge_delay", net.min_edge_delay, 1, kMaxDelay));
-      net.max_edge_delay =
-          static_cast<Delay>(fields.integer("max_edge_delay", net.max_edge_delay, 1, kMaxDelay));
-      if (net.max_edge_delay < net.min_edge_delay) {
-        throw SuiteError(fields.path_of("max_edge_delay"),
-                         std::to_string(net.max_edge_delay) + " is below min_edge_delay (" +
-                             std::to_string(net.min_edge_delay) + ")");
-      }
-      net.attach_delay =
-          static_cast<Delay>(fields.integer("attach_delay", net.attach_delay, 0, kMaxDelay));
-      net.fixed_link_delay = static_cast<Delay>(
-          fields.integer("fixed_link_delay", net.fixed_link_delay, 0, kMaxDelay));
+    case TopologySpec::Kind::Expander:
+      visit(io, spec.expander);
       break;
-    }
-    case TopologySpec::Kind::Rotor: {
-      auto& net = spec.rotor;
-      net.racks = static_cast<NodeIndex>(fields.integer("racks", net.racks, 2, kMaxRacks));
-      net.ports_per_rack =
-          static_cast<NodeIndex>(fields.integer("ports", net.ports_per_rack, 1, kMaxPorts));
-      net.num_matchings =
-          static_cast<NodeIndex>(fields.integer("matchings", net.num_matchings, 0, kMaxRacks));
-      if (net.num_matchings > net.racks - 1) {
-        throw SuiteError(fields.path_of("matchings"),
-                         std::to_string(net.num_matchings) + " exceeds racks - 1 (" +
-                             std::to_string(net.racks - 1) + "); 0 selects all offsets");
-      }
-      net.edge_delay =
-          static_cast<Delay>(fields.integer("edge_delay", net.edge_delay, 1, kMaxDelay));
-      net.attach_delay =
-          static_cast<Delay>(fields.integer("attach_delay", net.attach_delay, 0, kMaxDelay));
-      net.fixed_link_delay = static_cast<Delay>(
-          fields.integer("fixed_link_delay", net.fixed_link_delay, 0, kMaxDelay));
+    case TopologySpec::Kind::Rotor:
+      visit(io, spec.rotor);
       break;
-    }
   }
-  return spec;
+  io.field("seed_salt", spec.seed_salt, 0, kMaxInt);
+  io.field("fixed_wiring", spec.fixed_wiring);
 }
 
 /// Shape keys shared by batch workloads and stream traffic.
-void parse_shape(Fields& fields, WorkloadConfig& shape) {
-  const std::string skew = fields.str("skew", "uniform");
-  shape.skew = parse_enum<PairSkew>(fields.path_of("skew"), skew,
-                                    {{"uniform", PairSkew::Uniform},
-                                     {"zipf", PairSkew::Zipf},
-                                     {"hotspot", PairSkew::Hotspot},
-                                     {"permutation", PairSkew::Permutation},
-                                     {"incast", PairSkew::Incast}});
-  shape.zipf_exponent = fields.real("zipf_exponent", shape.zipf_exponent, 0.0, 8.0);
-  shape.hotspot_fraction = fields.real("hotspot_fraction", shape.hotspot_fraction, 0.0, 1.0);
-  const std::string weights = fields.str("weights", "uniform-int");
-  shape.weights = parse_enum<WeightDist>(fields.path_of("weights"), weights,
-                                         {{"unit", WeightDist::Unit},
-                                          {"uniform-int", WeightDist::UniformInt},
-                                          {"pareto", WeightDist::Pareto},
-                                          {"bimodal", WeightDist::Bimodal}});
-  shape.weight_max = fields.integer("weight_max", shape.weight_max, 1, 1'000'000'000);
-  shape.pareto_shape = fields.real("pareto_shape", shape.pareto_shape, 1.01, 16.0);
-  shape.elephant_fraction =
-      fields.real("elephant_fraction", shape.elephant_fraction, 0.0, 1.0);
+template <class IO>
+void visit_shape(IO& io, WorkloadConfig& shape) {
+  io.field("skew", shape.skew);
+  io.field("zipf_exponent", shape.zipf_exponent, 0.0, 8.0);
+  io.field("hotspot_fraction", shape.hotspot_fraction, 0.0, 1.0);
+  io.field("weights", shape.weights);
+  io.field("weight_max", shape.weight_max, 1, 1'000'000'000);
+  io.field("pareto_shape", shape.pareto_shape, 1.01, 16.0);
+  io.field("elephant_fraction", shape.elephant_fraction, 0.0, 1.0);
 }
 
-WorkloadConfig parse_workload(Fields& fields) {
-  WorkloadConfig config;
-  config.num_packets = static_cast<std::size_t>(
-      fields.integer("packets", static_cast<std::int64_t>(config.num_packets), 1, 10'000'000));
-  config.arrival_rate = fields.real("rate", config.arrival_rate, 1e-6, 1e6);
-  parse_shape(fields, config);
-  config.bursty = fields.boolean("bursty", config.bursty);
-  config.burst_off_prob = fields.real("burst_off_prob", config.burst_off_prob, 0.0, 0.999);
-  return config;
+template <class IO>
+void visit(IO& io, WorkloadConfig& config) {
+  io.field("packets", config.num_packets, 1, 10'000'000);
+  io.field("rate", config.arrival_rate, 1e-6, 1e6);
+  visit_shape(io, config);
+  io.field("bursty", config.bursty);
+  io.field("burst_off_prob", config.burst_off_prob, 0.0, 0.999);
 }
 
-TrafficConfig parse_traffic(Fields& fields) {
-  TrafficConfig config;
-  const std::string process = fields.str("process", "poisson");
-  config.process = parse_enum<ArrivalProcess>(
-      fields.path_of("process"), process,
-      {{"poisson", ArrivalProcess::Poisson}, {"onoff", ArrivalProcess::OnOff}});
-  config.rho = fields.real("rho", config.rho, 1e-6, 8.0);
-  config.capacity_model = parse_enum<CapacityModel>(
-      fields.path_of("capacity_model"), fields.str("capacity_model", "ports"),
-      {{"ports", CapacityModel::Ports}, {"max_matching", CapacityModel::MaxMatching}});
-  parse_shape(fields, config.shape);
-  config.on_stay = fields.real("on_stay", config.on_stay, 0.0, 0.999);
-  config.off_stay = fields.real("off_stay", config.off_stay, 0.0, 0.999);
-  config.max_zero_demand_fraction =
-      fields.real("max_zero_demand_fraction", config.max_zero_demand_fraction, 0.0, 1.0);
-  return config;
+template <class IO>
+void visit(IO& io, TrafficConfig& config) {
+  io.field("process", config.process);
+  io.field("rho", config.rho, 1e-6, 8.0);
+  io.field("capacity_model", config.capacity_model);
+  visit_shape(io, config.shape);
+  io.field("on_stay", config.on_stay, 0.0, 0.999);
+  io.field("off_stay", config.off_stay, 0.0, 0.999);
+  io.field("max_zero_demand_fraction", config.max_zero_demand_fraction, 0.0, 1.0);
 }
 
-/// An optional array of non-negative indices (edge or rack lists of a
-/// stage mutation); element errors name "path.key[j]".
-template <typename Index>
-std::vector<Index> parse_index_array(Fields& fields, const char* key, std::int64_t hi) {
-  std::vector<Index> indices;
-  const json::Value* value = fields.member(key);
-  if (!value) return indices;
-  if (!value->is_array()) {
-    throw SuiteError(fields.path_of(key),
-                     std::string("expected an array, found ") + value->type_name());
-  }
-  const json::Array& entries = value->as_array();
-  indices.reserve(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const std::string path = fields.path_of(key) + "[" + std::to_string(i) + "]";
-    if (!entries[i].is_integer()) {
-      throw SuiteError(path,
-                       std::string("expected an integer, found ") + entries[i].type_name());
-    }
-    const std::int64_t parsed = entries[i].as_integer();
-    if (parsed < 0 || parsed > hi) {
-      throw SuiteError(path, std::to_string(parsed) + " is out of range [0, " +
-                                 std::to_string(hi) + "]");
-    }
-    indices.push_back(static_cast<Index>(parsed));
-  }
-  return indices;
+template <class IO>
+void visit(IO& io, StageSpec& stage) {
+  io.field("duration", stage.duration, 0, 1'000'000'000'000);
+  io.field("rho", stage.rho, -1.0, 8.0);
+  inherit_or(io, "rho", stage.rho, "must be positive");
+  io.field("on_stay", stage.on_stay, -1.0, 0.999);
+  inherit_or(io, "on_stay", stage.on_stay, "must be in (0, 1)");
+  io.field("off_stay", stage.off_stay, -1.0, 0.999);
+  inherit_or(io, "off_stay", stage.off_stay, "must be in (0, 1)");
+  StageMutation& mutation = stage.mutation;
+  io.field("kill_edges", mutation.kill_edges, kMaxEdgeIndex);
+  io.field("restore_edges", mutation.restore_edges, kMaxEdgeIndex);
+  io.field("kill_racks", mutation.kill_racks, kMaxRacks);
+  io.field("restore_racks", mutation.restore_racks, kMaxRacks);
+  io.field("speedup", mutation.speedup_rounds, 0, 16);
+  io.field("capacity", mutation.endpoint_capacity, 0, 64);
+  io.field("dead", mutation.dead_policy);
 }
 
-/// "-1 inherits" traffic overrides: the range getter admits the sentinel,
-/// this rejects the dead zone in between.
-void check_override(const std::string& path, double value, const char* requirement) {
-  if (value != -1.0 && !(value > 0.0)) {
-    throw SuiteError(path, std::string(requirement) + ", or -1 to inherit the traffic axis");
-  }
-}
-
-StageSpec parse_stage(Fields& fields) {
-  StageSpec stage;
-  stage.duration =
-      static_cast<Time>(fields.integer("duration", 0, 0, 1'000'000'000'000));
-  stage.rho = fields.real("rho", -1.0, -1.0, 8.0);
-  check_override(fields.path_of("rho"), stage.rho, "must be positive");
-  stage.on_stay = fields.real("on_stay", -1.0, -1.0, 0.999);
-  check_override(fields.path_of("on_stay"), stage.on_stay, "must be in (0, 1)");
-  stage.off_stay = fields.real("off_stay", -1.0, -1.0, 0.999);
-  check_override(fields.path_of("off_stay"), stage.off_stay, "must be in (0, 1)");
-  // Index bounds against the topology come later (Engine::apply_mutation
-  // validates at run time -- the suite grid may span several topologies);
-  // the parse-time cap only rejects nonsense.
-  constexpr std::int64_t kMaxIndex = 100'000'000;
-  stage.mutation.kill_edges = parse_index_array<EdgeIndex>(fields, "kill_edges", kMaxIndex);
-  stage.mutation.restore_edges =
-      parse_index_array<EdgeIndex>(fields, "restore_edges", kMaxIndex);
-  stage.mutation.kill_racks = parse_index_array<NodeIndex>(fields, "kill_racks", kMaxRacks);
-  stage.mutation.restore_racks =
-      parse_index_array<NodeIndex>(fields, "restore_racks", kMaxRacks);
-  stage.mutation.speedup_rounds =
-      static_cast<int>(fields.integer("speedup", 0, 0, 16));
-  stage.mutation.endpoint_capacity =
-      static_cast<int>(fields.integer("capacity", 0, 0, 64));
-  stage.mutation.dead_policy = parse_enum<DeadPolicy>(
-      fields.path_of("dead"), fields.str("dead", "drop"),
-      {{"drop", DeadPolicy::Drop}, {"requeue", DeadPolicy::Requeue}});
-  return stage;
-}
-
-/// Shared by the suite "stages" key and the standalone schedule document.
-std::vector<StageSpec> parse_stage_entries(const json::Value& value,
-                                           const std::string& key) {
-  if (!value.is_array()) {
-    throw SuiteError(key, std::string("expected an array, found ") + value.type_name());
-  }
-  const json::Array& entries = value.as_array();
-  if (entries.empty()) throw SuiteError(key, "needs at least one stage");
-  std::vector<StageSpec> stages;
-  stages.reserve(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const std::string path = key + "[" + std::to_string(i) + "]";
-    Fields fields(entries[i], path);
-    StageSpec stage = parse_stage(fields);
-    fields.finish();
-    if (stage.duration == 0 && i + 1 != entries.size()) {
-      throw SuiteError(path + ".duration",
-                       "0 (run to the end) is legal for the last stage only");
-    }
-    stages.push_back(std::move(stage));
-  }
-  return stages;
-}
-
-EngineOptions parse_engine(Fields& fields) {
-  EngineOptions options;
-  options.speedup_rounds =
-      static_cast<int>(fields.integer("speedup", options.speedup_rounds, 1, 16));
-  options.endpoint_capacity =
-      static_cast<int>(fields.integer("capacity", options.endpoint_capacity, 1, 64));
-  options.reconfig_delay =
-      static_cast<Delay>(fields.integer("reconfig_delay", options.reconfig_delay, 0, kMaxDelay));
-  if (options.reconfig_delay > 0 && options.endpoint_capacity != 1) {
-    throw SuiteError(fields.path_of("reconfig_delay"),
-                     "requires capacity == 1 (the engine's reconfiguration-delay "
-                     "extension is defined on the matching model)");
-  }
-  options.audit = fields.boolean("audit", options.audit);
+template <class IO>
+void visit(IO& io, EngineOptions& options) {
+  io.field("speedup", options.speedup_rounds, 1, 16);
+  io.field("capacity", options.endpoint_capacity, 1, 64);
+  io.field("reconfig_delay", options.reconfig_delay, 0, kMaxDelay);
+  const bool matching_model = options.endpoint_capacity == 1;
+  io.check("reconfig_delay", options.reconfig_delay == 0 || matching_model, [] {
+    return "requires capacity == 1 (the engine's reconfiguration-delay extension is "
+           "defined on the matching model)";
+  });
+  io.field("audit", options.audit);
   // Observability: cells run with the engine probe on and their rows grow
   // phase_<name>_ns metrics. Aggregates only -- no raw-span ring; the
   // rdcn_cli profile subcommand is the trace-export front end.
-  options.probe.enabled = fields.boolean("profile", options.probe.enabled);
-  return options;
+  io.field("profile", options.probe.enabled);
 }
 
 std::string default_engine_label(const EngineOptions& options) {
@@ -438,44 +587,80 @@ std::string default_engine_label(const EngineOptions& options) {
   return label;
 }
 
-void check_label(const std::string& path, const std::string& label) {
-  if (label.empty()) throw SuiteError(path, "labels must be non-empty");
-  if (label.find('/') != std::string::npos) {
-    throw SuiteError(path, "label \"" + label + "\" may not contain '/'"
-                           " (labels compose cell names)");
-  }
+template <class IO>
+void visit(IO& io, SuiteTopology& entry) {
+  visit(io, entry.spec);
+  io.label(kLabelKey, entry.label, to_string(entry.spec.kind));
 }
 
-template <typename Entry>
-void check_unique_labels(const std::string& axis, const std::vector<Entry>& entries) {
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    for (std::size_t j = i + 1; j < entries.size(); ++j) {
-      if (entries[i].label == entries[j].label) {
-        throw SuiteError(axis + "[" + std::to_string(j) + "].name",
-                         "duplicate label \"" + entries[j].label +
-                             "\"; give each axis entry a distinct \"name\"");
-      }
-    }
-  }
+template <class IO>
+void visit(IO& io, SuiteWorkload& entry) {
+  visit(io, entry.config);
+  io.label(kLabelKey, entry.label, to_string(entry.config.skew));
 }
 
-template <typename Fn>
-void parse_axis(Fields& doc, const char* key, bool required, Fn&& parse_entry) {
-  const json::Value* value = doc.member(key);
-  if (!value) {
-    if (required) throw SuiteError(key, "required key is missing");
-    return;
-  }
-  if (!value->is_array()) {
-    throw SuiteError(key, std::string("expected an array, found ") + value->type_name());
-  }
-  const json::Array& entries = value->as_array();
-  if (required && entries.empty()) {
-    throw SuiteError(key, "needs at least one entry");
-  }
+template <class IO>
+void visit(IO& io, SuiteTraffic& entry) {
+  visit(io, entry.config);
+  io.label(kLabelKey, entry.label, to_string(entry.config.process));
+}
+
+template <class IO>
+void visit(IO& io, SuiteEngine& entry) {
+  visit(io, entry.options);
+  io.label(kLabelKey, entry.label, default_engine_label(entry.options));
+}
+
+template <class IO>
+void visit(IO& io, SuiteSpec& suite) {
+  io.required("suite", suite.name);
+  io.check("suite", !suite.name.empty(), [] { return "suite name must be non-empty"; });
+  check_label(io, "suite", suite.name);  // the name prefixes every cell name
+  io.field("mode", suite.mode);
+  const bool batch = suite.mode == SuiteSpec::Mode::Batch;
+  io.block("seeds", nullptr, [&suite](auto& seeds) {
+    seeds.field("base", suite.base_seed, 0, kMaxInt);
+    seeds.field("repetitions", suite.repetitions, 1, 100'000);
+  });
+  io.policies("policies", suite.policies);
+  io.axis("engines", suite.engines, /*required=*/false, nullptr);
+  io.axis("topologies", suite.topologies, /*required=*/true, nullptr);
+  io.axis("workloads", suite.workloads, batch,
+          batch ? nullptr
+                : "only valid when mode is \"batch\" (stream suites describe arrivals "
+                  "under \"traffic\")");
+  io.axis("traffic", suite.traffic, !batch,
+          batch ? "only valid when mode is \"stream\" (batch suites describe finite "
+                  "workloads under \"workloads\")"
+                : nullptr);
+  io.block("stream", batch ? "only valid when mode is \"stream\"" : nullptr,
+           [&suite](auto& stream) {
+             stream.field("warmup", suite.warmup_packets, 0, 100'000'000);
+             stream.field("measure", suite.measure_packets, 1, 1'000'000'000);
+             stream.field("window", suite.telemetry_window, 1, 1'000'000);
+             stream.field("max_steps", suite.max_steps, 0, kMaxInt);
+             stream.field("step_cap_factor", suite.step_cap_factor, 1.0, 1000.0);
+           });
+  io.stages("stages", suite.stages,
+            batch ? "only valid when mode is \"stream\" (a stage schedule drives the "
+                    "open-loop StreamRunner)"
+                  : nullptr);
+}
+
+/// A stage schedule: the suite's "stages" key and the standalone schedule
+/// document alike.
+std::vector<StageSpec> read_stages(const json::Value& value, const std::string& path) {
+  const json::Array& entries = array_at(value, path);
+  if (entries.empty()) throw SuiteError(path, "needs at least one stage");
+  std::vector<StageSpec> stages(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    parse_entry(entries[i], std::string(key) + "[" + std::to_string(i) + "]");
+    Reader reader(entries[i], element_path(path, i));
+    visit(reader, stages[i]);
+    reader.finish();
+    reader.check("duration", stages[i].duration != 0 || i + 1 == entries.size(),
+                 [] { return "0 (run to the end) is legal for the last stage only"; });
   }
+  return stages;
 }
 
 /// json::parse, with malformed input reported as a document-level
@@ -508,144 +693,13 @@ auto load_file(const std::string& path, const char* kind, const Parse& parse) {
 
 SuiteSpec parse_suite(const std::string& json_text) {
   const json::Value document = parse_document(json_text);
-
-  Fields doc(document, "");
+  Reader reader(document, "");
   SuiteSpec suite;
-  suite.name = doc.required_str("suite");
-  if (suite.name.empty()) throw SuiteError("suite", "suite name must be non-empty");
-  check_label("suite", suite.name);  // the name prefixes every cell name
-
-  suite.mode = parse_enum<SuiteSpec::Mode>(
-      "mode", doc.str("mode", "batch"),
-      {{"batch", SuiteSpec::Mode::Batch}, {"stream", SuiteSpec::Mode::Stream}});
-
-  if (const json::Value* seeds = doc.member("seeds")) {
-    Fields fields(*seeds, "seeds");
-    suite.base_seed = static_cast<std::uint64_t>(
-        fields.integer("base", 1, 0, std::numeric_limits<std::int64_t>::max()));
-    suite.repetitions =
-        static_cast<std::size_t>(fields.integer("repetitions", 3, 1, 100'000));
-    fields.finish();
-  }
-
-  // Policies, validated against the registry so a typo fails at parse time.
-  {
-    const json::Value* value = doc.member("policies");
-    if (!value) throw SuiteError("policies", "required key is missing");
-    if (!value->is_array()) {
-      throw SuiteError("policies",
-                       std::string("expected an array, found ") + value->type_name());
-    }
-    const json::Array& entries = value->as_array();
-    if (entries.empty()) throw SuiteError("policies", "needs at least one policy");
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      const std::string path = "policies[" + std::to_string(i) + "]";
-      if (!entries[i].is_string()) {
-        throw SuiteError(path,
-                         std::string("expected a string, found ") + entries[i].type_name());
-      }
-      const std::string& name = entries[i].as_string();
-      try {
-        (void)named_policy(name);
-      } catch (const std::invalid_argument&) {
-        std::string known;
-        for (const std::string& entry : policy_names()) known += " " + entry;
-        throw SuiteError(path, "unknown policy \"" + name + "\"; registry:" + known);
-      }
-      if (std::find(suite.policies.begin(), suite.policies.end(), name) !=
-          suite.policies.end()) {
-        throw SuiteError(path, "duplicate policy \"" + name + "\"");
-      }
-      suite.policies.push_back(name);
-    }
-  }
-
-  parse_axis(doc, "topologies", /*required=*/true,
-             [&suite](const json::Value& entry, const std::string& path) {
-               Fields fields(entry, path);
-               SuiteTopology topology;
-               topology.spec = parse_topology(fields);
-               topology.label = fields.str("name", to_string(topology.spec.kind));
-               check_label(fields.path_of("name"), topology.label);
-               fields.finish();
-               suite.topologies.push_back(std::move(topology));
-             });
-  check_unique_labels("topologies", suite.topologies);
-
-  parse_axis(doc, "workloads", /*required=*/suite.mode == SuiteSpec::Mode::Batch,
-             [&suite](const json::Value& entry, const std::string& path) {
-               Fields fields(entry, path);
-               SuiteWorkload workload;
-               workload.config = parse_workload(fields);
-               workload.label = fields.str("name", to_string(workload.config.skew));
-               check_label(fields.path_of("name"), workload.label);
-               fields.finish();
-               suite.workloads.push_back(std::move(workload));
-             });
-  check_unique_labels("workloads", suite.workloads);
-  if (suite.mode == SuiteSpec::Mode::Stream && !suite.workloads.empty()) {
-    throw SuiteError("workloads", "only valid when mode is \"batch\" (stream suites "
-                                  "describe arrivals under \"traffic\")");
-  }
-
-  parse_axis(doc, "traffic", /*required=*/suite.mode == SuiteSpec::Mode::Stream,
-             [&suite](const json::Value& entry, const std::string& path) {
-               Fields fields(entry, path);
-               SuiteTraffic traffic;
-               traffic.config = parse_traffic(fields);
-               traffic.label = fields.str(
-                   "name", traffic.config.process == ArrivalProcess::OnOff ? "onoff"
-                                                                           : "poisson");
-               check_label(fields.path_of("name"), traffic.label);
-               fields.finish();
-               suite.traffic.push_back(std::move(traffic));
-             });
-  check_unique_labels("traffic", suite.traffic);
-  if (suite.mode == SuiteSpec::Mode::Batch && !suite.traffic.empty()) {
-    throw SuiteError("traffic", "only valid when mode is \"stream\" (batch suites "
-                                "describe finite workloads under \"workloads\")");
-  }
-
-  parse_axis(doc, "engines", /*required=*/false,
-             [&suite](const json::Value& entry, const std::string& path) {
-               Fields fields(entry, path);
-               SuiteEngine engine;
-               engine.options = parse_engine(fields);
-               engine.label = fields.str("name", default_engine_label(engine.options));
-               check_label(fields.path_of("name"), engine.label);
-               fields.finish();
-               suite.engines.push_back(std::move(engine));
-             });
-  if (suite.engines.empty()) {
+  visit(reader, suite);
+  reader.finish();
+  if (suite.engines.empty()) {  // one default engine variant
     suite.engines.push_back({default_engine_label(EngineOptions{}), EngineOptions{}});
   }
-  check_unique_labels("engines", suite.engines);
-
-  if (const json::Value* stream = doc.member("stream")) {
-    if (suite.mode != SuiteSpec::Mode::Stream) {
-      throw SuiteError("stream", "only valid when mode is \"stream\"");
-    }
-    Fields fields(*stream, "stream");
-    suite.warmup_packets =
-        static_cast<std::size_t>(fields.integer("warmup", 1000, 0, 100'000'000));
-    suite.measure_packets =
-        static_cast<std::size_t>(fields.integer("measure", 10000, 1, 1'000'000'000));
-    suite.telemetry_window = static_cast<Time>(fields.integer("window", 256, 1, 1'000'000));
-    suite.max_steps = static_cast<Time>(
-        fields.integer("max_steps", 0, 0, std::numeric_limits<std::int64_t>::max()));
-    suite.step_cap_factor = fields.real("step_cap_factor", 8.0, 1.0, 1000.0);
-    fields.finish();
-  }
-
-  if (const json::Value* stages = doc.member("stages")) {
-    if (suite.mode != SuiteSpec::Mode::Stream) {
-      throw SuiteError("stages", "only valid when mode is \"stream\" (a stage "
-                                 "schedule drives the open-loop StreamRunner)");
-    }
-    suite.stages = parse_stage_entries(*stages, "stages");
-  }
-
-  doc.finish();
   return suite;
 }
 
@@ -654,220 +708,20 @@ SuiteSpec load_suite_file(const std::string& path) {
 }
 
 std::vector<StageSpec> parse_stages_json(const std::string& json_text) {
-  return parse_stage_entries(parse_document(json_text), "stages");
+  return read_stages(parse_document(json_text), "stages");
 }
 
 std::vector<StageSpec> load_stages_file(const std::string& path) {
   return load_file(path, "stages", parse_stages_json);
 }
 
-// --- normalized writer ------------------------------------------------------
-
-namespace {
-
-json::Value topology_to_json(const SuiteTopology& topology) {
-  json::Object object;
-  object.emplace_back("name", topology.label);
-  object.emplace_back("kind", to_string(topology.spec.kind));
-  switch (topology.spec.kind) {
-    case TopologySpec::Kind::TwoTier: {
-      const auto& net = topology.spec.two_tier;
-      object.emplace_back("racks", static_cast<std::int64_t>(net.racks));
-      object.emplace_back("lasers", static_cast<std::int64_t>(net.lasers_per_rack));
-      object.emplace_back("photodetectors",
-                          static_cast<std::int64_t>(net.photodetectors_per_rack));
-      object.emplace_back("density", net.density);
-      object.emplace_back("max_edge_delay", static_cast<std::int64_t>(net.max_edge_delay));
-      object.emplace_back("attach_delay", static_cast<std::int64_t>(net.attach_delay));
-      object.emplace_back("fixed_link_delay",
-                          static_cast<std::int64_t>(net.fixed_link_delay));
-      object.emplace_back("allow_self_edges", net.allow_self_edges);
-      break;
-    }
-    case TopologySpec::Kind::Crossbar:
-      object.emplace_back("ports", static_cast<std::int64_t>(topology.spec.crossbar_ports));
-      break;
-    case TopologySpec::Kind::Oversubscribed: {
-      const auto& net = topology.spec.oversubscribed;
-      object.emplace_back("racks", static_cast<std::int64_t>(net.racks));
-      object.emplace_back("hot_racks", static_cast<std::int64_t>(net.hot_racks));
-      object.emplace_back("hot_lasers", static_cast<std::int64_t>(net.hot_lasers));
-      object.emplace_back("hot_photodetectors",
-                          static_cast<std::int64_t>(net.hot_photodetectors));
-      object.emplace_back("cold_lasers", static_cast<std::int64_t>(net.cold_lasers));
-      object.emplace_back("cold_photodetectors",
-                          static_cast<std::int64_t>(net.cold_photodetectors));
-      object.emplace_back("density", net.density);
-      object.emplace_back("fast_delay", static_cast<std::int64_t>(net.fast_delay));
-      object.emplace_back("slow_delay", static_cast<std::int64_t>(net.slow_delay));
-      object.emplace_back("slow_fraction", net.slow_fraction);
-      object.emplace_back("attach_delay", static_cast<std::int64_t>(net.attach_delay));
-      object.emplace_back("fixed_base_delay",
-                          static_cast<std::int64_t>(net.fixed_base_delay));
-      object.emplace_back("oversubscription", net.oversubscription);
-      break;
-    }
-    case TopologySpec::Kind::Expander: {
-      const auto& net = topology.spec.expander;
-      object.emplace_back("racks", static_cast<std::int64_t>(net.racks));
-      object.emplace_back("degree", static_cast<std::int64_t>(net.degree));
-      object.emplace_back("lasers", static_cast<std::int64_t>(net.lasers_per_rack));
-      object.emplace_back("photodetectors",
-                          static_cast<std::int64_t>(net.photodetectors_per_rack));
-      object.emplace_back("min_edge_delay", static_cast<std::int64_t>(net.min_edge_delay));
-      object.emplace_back("max_edge_delay", static_cast<std::int64_t>(net.max_edge_delay));
-      object.emplace_back("attach_delay", static_cast<std::int64_t>(net.attach_delay));
-      object.emplace_back("fixed_link_delay",
-                          static_cast<std::int64_t>(net.fixed_link_delay));
-      break;
-    }
-    case TopologySpec::Kind::Rotor: {
-      const auto& net = topology.spec.rotor;
-      object.emplace_back("racks", static_cast<std::int64_t>(net.racks));
-      object.emplace_back("ports", static_cast<std::int64_t>(net.ports_per_rack));
-      object.emplace_back("matchings", static_cast<std::int64_t>(net.num_matchings));
-      object.emplace_back("edge_delay", static_cast<std::int64_t>(net.edge_delay));
-      object.emplace_back("attach_delay", static_cast<std::int64_t>(net.attach_delay));
-      object.emplace_back("fixed_link_delay",
-                          static_cast<std::int64_t>(net.fixed_link_delay));
-      break;
-    }
-  }
-  object.emplace_back("seed_salt", static_cast<std::int64_t>(topology.spec.seed_salt));
-  object.emplace_back("fixed_wiring", topology.spec.fixed_wiring);
-  return json::Value(std::move(object));
-}
-
-void shape_to_json(const WorkloadConfig& shape, json::Object& object) {
-  object.emplace_back("skew", to_string(shape.skew));
-  object.emplace_back("zipf_exponent", shape.zipf_exponent);
-  object.emplace_back("hotspot_fraction", shape.hotspot_fraction);
-  object.emplace_back("weights", to_string(shape.weights));
-  object.emplace_back("weight_max", shape.weight_max);
-  object.emplace_back("pareto_shape", shape.pareto_shape);
-  object.emplace_back("elephant_fraction", shape.elephant_fraction);
-}
-
-json::Value workload_to_json(const SuiteWorkload& workload) {
-  json::Object object;
-  object.emplace_back("name", workload.label);
-  object.emplace_back("packets", static_cast<std::int64_t>(workload.config.num_packets));
-  object.emplace_back("rate", workload.config.arrival_rate);
-  shape_to_json(workload.config, object);
-  object.emplace_back("bursty", workload.config.bursty);
-  object.emplace_back("burst_off_prob", workload.config.burst_off_prob);
-  return json::Value(std::move(object));
-}
-
-json::Value traffic_to_json(const SuiteTraffic& traffic) {
-  json::Object object;
-  object.emplace_back("name", traffic.label);
-  object.emplace_back(
-      "process", traffic.config.process == ArrivalProcess::OnOff ? "onoff" : "poisson");
-  object.emplace_back("rho", traffic.config.rho);
-  object.emplace_back("capacity_model",
-                      traffic.config.capacity_model == CapacityModel::MaxMatching
-                          ? "max_matching"
-                          : "ports");
-  shape_to_json(traffic.config.shape, object);
-  object.emplace_back("on_stay", traffic.config.on_stay);
-  object.emplace_back("off_stay", traffic.config.off_stay);
-  object.emplace_back("max_zero_demand_fraction", traffic.config.max_zero_demand_fraction);
-  return json::Value(std::move(object));
-}
-
-template <typename Index>
-json::Value indices_to_json(const std::vector<Index>& indices) {
-  json::Array array;
-  for (const Index index : indices) array.emplace_back(static_cast<std::int64_t>(index));
-  return json::Value(std::move(array));
-}
-
-json::Value stage_to_json(const StageSpec& stage) {
-  json::Object object;
-  object.emplace_back("duration", static_cast<std::int64_t>(stage.duration));
-  object.emplace_back("rho", stage.rho);
-  object.emplace_back("on_stay", stage.on_stay);
-  object.emplace_back("off_stay", stage.off_stay);
-  object.emplace_back("kill_edges", indices_to_json(stage.mutation.kill_edges));
-  object.emplace_back("restore_edges", indices_to_json(stage.mutation.restore_edges));
-  object.emplace_back("kill_racks", indices_to_json(stage.mutation.kill_racks));
-  object.emplace_back("restore_racks", indices_to_json(stage.mutation.restore_racks));
-  object.emplace_back("speedup", static_cast<std::int64_t>(stage.mutation.speedup_rounds));
-  object.emplace_back("capacity",
-                      static_cast<std::int64_t>(stage.mutation.endpoint_capacity));
-  object.emplace_back(
-      "dead", stage.mutation.dead_policy == DeadPolicy::Requeue ? "requeue" : "drop");
-  return json::Value(std::move(object));
-}
-
-json::Value engine_to_json(const SuiteEngine& engine) {
-  json::Object object;
-  object.emplace_back("name", engine.label);
-  object.emplace_back("speedup", static_cast<std::int64_t>(engine.options.speedup_rounds));
-  object.emplace_back("capacity",
-                      static_cast<std::int64_t>(engine.options.endpoint_capacity));
-  object.emplace_back("reconfig_delay",
-                      static_cast<std::int64_t>(engine.options.reconfig_delay));
-  object.emplace_back("audit", engine.options.audit);
-  object.emplace_back("profile", engine.options.probe.enabled);
-  return json::Value(std::move(object));
-}
-
-}  // namespace
-
 std::string suite_to_json(const SuiteSpec& spec) {
-  json::Object document;
-  document.emplace_back("suite", spec.name);
-  document.emplace_back("mode", spec.mode == SuiteSpec::Mode::Stream ? "stream" : "batch");
-  {
-    json::Object seeds;
-    seeds.emplace_back("base", static_cast<std::int64_t>(spec.base_seed));
-    seeds.emplace_back("repetitions", static_cast<std::int64_t>(spec.repetitions));
-    document.emplace_back("seeds", json::Value(std::move(seeds)));
-  }
-  {
-    json::Array policies;
-    for (const std::string& policy : spec.policies) policies.emplace_back(policy);
-    document.emplace_back("policies", json::Value(std::move(policies)));
-  }
-  {
-    json::Array engines;
-    for (const SuiteEngine& engine : spec.engines) engines.push_back(engine_to_json(engine));
-    document.emplace_back("engines", json::Value(std::move(engines)));
-  }
-  {
-    json::Array topologies;
-    for (const SuiteTopology& topology : spec.topologies) {
-      topologies.push_back(topology_to_json(topology));
-    }
-    document.emplace_back("topologies", json::Value(std::move(topologies)));
-  }
-  if (spec.mode == SuiteSpec::Mode::Batch) {
-    json::Array workloads;
-    for (const SuiteWorkload& workload : spec.workloads) {
-      workloads.push_back(workload_to_json(workload));
-    }
-    document.emplace_back("workloads", json::Value(std::move(workloads)));
-  } else {
-    json::Array traffic;
-    for (const SuiteTraffic& entry : spec.traffic) traffic.push_back(traffic_to_json(entry));
-    document.emplace_back("traffic", json::Value(std::move(traffic)));
-    json::Object stream;
-    stream.emplace_back("warmup", static_cast<std::int64_t>(spec.warmup_packets));
-    stream.emplace_back("measure", static_cast<std::int64_t>(spec.measure_packets));
-    stream.emplace_back("window", static_cast<std::int64_t>(spec.telemetry_window));
-    stream.emplace_back("max_steps", static_cast<std::int64_t>(spec.max_steps));
-    stream.emplace_back("step_cap_factor", spec.step_cap_factor);
-    document.emplace_back("stream", json::Value(std::move(stream)));
-    if (!spec.stages.empty()) {
-      json::Array stages;
-      for (const StageSpec& stage : spec.stages) stages.push_back(stage_to_json(stage));
-      document.emplace_back("stages", json::Value(std::move(stages)));
-    }
-  }
-  return json::dump(json::Value(std::move(document)), 2) + "\n";
+  SuiteSpec normalized = spec;  // visit() lists take mutable members
+  Writer writer;
+  visit(writer, normalized);
+  return json::dump(writer.take(), 2) + "\n";
 }
+
 
 // --- grid expansion ---------------------------------------------------------
 
@@ -974,7 +828,7 @@ json::Object line_header(const SuiteSpec& spec, const CellAxes& axes,
   params.emplace_back(spec.mode == SuiteSpec::Mode::Batch ? "workload" : "traffic",
                       axes.variant);
   params.emplace_back("engine", axes.engine->label);
-  params.emplace_back("mode", spec.mode == SuiteSpec::Mode::Batch ? "batch" : "stream");
+  params.emplace_back("mode", to_string(spec.mode));
   params.emplace_back("base_seed", static_cast<std::int64_t>(spec.base_seed));
   params.emplace_back("reps", static_cast<std::int64_t>(spec.repetitions));
 
@@ -1144,7 +998,6 @@ SuiteJournal parse_journal(const std::string& text) {
   while (std::getline(in, line)) {
     if (!line.empty()) lines.push_back(line);
   }
-  if (lines.empty()) throw SuiteError("", "empty journal");
 
   const auto parse_line = [](const std::string& entry, std::size_t index) {
     try {
@@ -1154,6 +1007,18 @@ SuiteJournal parse_journal(const std::string& text) {
                                " is not valid JSON: " + error.what());
     }
   };
+  // Records are appended whole, newline last: a final line without its
+  // newline that does not parse is an append torn by a crash. Its cell
+  // never completed, so it is dropped and re-runs on resume; a malformed
+  // line anywhere else is corruption.
+  if (!lines.empty() && text.back() != '\n') {
+    try {
+      json::parse(lines.back());
+    } catch (const json::ParseError&) {
+      lines.pop_back();
+    }
+  }
+  if (lines.empty()) throw SuiteError("", "empty journal");
 
   const json::Value header_doc = parse_line(lines.front(), 0);
   SuiteJournal journal;
@@ -1243,41 +1108,37 @@ std::vector<std::string> SuiteRunner::run(const SuiteRunOptions& options,
     rows = resume->rows;
   }
 
-  // The journal is the whole manifest, rewritten via write-temp-fsync-
-  // rename after every completed cell: at any instant the file on disk is
-  // a complete, valid journal, so SIGKILL at any byte loses at most the
-  // in-flight cells. Rows are stored verbatim, which is what makes a
-  // resumed run's merged output bit-identical to an uninterrupted one.
-  std::mutex journal_mutex;
-  const auto write_journal = [&]() {
+  // The journal starts as the header plus any resumed rows, written
+  // atomically up front so a run killed before its first cell completes
+  // still leaves a resumable journal. Each completed cell then appends one
+  // record and fsyncs it: SIGKILL at any byte tears at most the last line,
+  // which parse_journal drops. Rows are stored verbatim, which is what
+  // makes a resumed run's merged output bit-identical to an uninterrupted
+  // one.
+  const auto journal_record = [&](std::size_t i) {
+    json::Object entry;
+    entry.emplace_back("cell", static_cast<std::int64_t>(i));
+    entry.emplace_back("name", names[i]);
+    entry.emplace_back("row", rows[i]);
+    return json::dump(json::Value(std::move(entry))) + "\n";
+  };
+  if (!options.journal.empty()) {
     json::Object header;
     header.emplace_back("rdcn_suite_journal", std::int64_t{1});
     header.emplace_back("suite", spec_.name);
     header.emplace_back("cells", static_cast<std::int64_t>(total));
     header.emplace_back("spec", spec_json);
-    std::string text = json::dump(json::Value(std::move(header)));
-    text += '\n';
+    std::string text = json::dump(json::Value(std::move(header))) + "\n";
     for (std::size_t i = 0; i < total; ++i) {
-      if (rows[i].empty()) continue;
-      json::Object entry;
-      entry.emplace_back("cell", static_cast<std::int64_t>(i));
-      entry.emplace_back("name", names[i]);
-      entry.emplace_back("row", rows[i]);
-      text += json::dump(json::Value(std::move(entry)));
-      text += '\n';
+      if (!rows[i].empty()) text += journal_record(i);
     }
     atomic_write_file(options.journal, text);
-  };
-  if (!options.journal.empty()) {
-    // Persist the header (plus any resumed rows) up front: a run killed
-    // before its first cell completes still leaves a resumable journal.
-    const std::lock_guard<std::mutex> lock(journal_mutex);
-    write_journal();
   }
+  std::mutex journal_mutex;
   const auto record = [&](std::size_t global, std::string row) {
     const std::lock_guard<std::mutex> lock(journal_mutex);
     rows[global] = std::move(row);
-    if (!options.journal.empty()) write_journal();
+    if (!options.journal.empty()) append_synced(options.journal, journal_record(global));
   };
 
   BatchRunner runner(options.threads);

@@ -8,12 +8,17 @@
 // of a recompile; the gallery under examples/suites/ holds the paper
 // baselines and the topology-zoo shootouts.
 //
-// The parser is strict: unknown keys are rejected (with the list of keys
-// the object accepts), type mismatches and out-of-range values name the
-// exact JSON path ("topologies[2].density"), and policies are validated
-// against the run/ registry at parse time. suite_to_json re-emits the
-// normalized form (every default materialized), so spec -> JSON -> spec
-// round-trips bit-for-bit -- the golden test in tests/test_suite.cpp.
+// One schema drives both directions: suite.cpp describes every spec
+// struct once, as a visit(io, value) list of (key, member, type, range)
+// entries, and the strict reader and the normalized writer walk the same
+// lists. The reader rejects unknown keys (with the list of keys the object
+// accepts), names the exact JSON path of type mismatches and out-of-range
+// values ("topologies[2].density"), enforces the cross-field rules, and
+// validates policies against the run/ registry at parse time.
+// suite_to_json re-emits the normalized form (every default materialized),
+// so spec -> JSON -> spec round-trips by construction; tests/test_suite.cpp
+// pins the normalized text byte for byte. Enum values are spelled by the
+// enums' enum_names tables (util/enum_names.hpp).
 //
 // Schema (see README.md "Declarative suite files" for the annotated
 // version):
@@ -149,10 +154,11 @@ struct SuiteRunOptions {
   std::size_t threads = 0;  ///< BatchRunner pool width (0 = hardware)
   /// Failure policy, per-repetition deadline, retry budget, fault hook.
   RunPolicy policy;
-  /// Crash-safe journal path (empty = none): after every completed cell
-  /// the whole manifest is rewritten via atomic write-temp-fsync-rename,
-  /// so the file is a complete valid journal at every instant -- SIGKILL
-  /// at any byte loses at most the in-flight cells.
+  /// Crash-safe journal path (empty = none): the header and any resumed
+  /// rows are written atomically (write-temp-fsync-rename) up front, then
+  /// every completed cell appends one fsynced record -- SIGKILL at any
+  /// byte loses at most the in-flight cells and tears at most the last
+  /// line, which the loader drops.
   std::string journal;
 };
 
@@ -162,9 +168,12 @@ struct SuiteRunOptions {
 /// On-disk format (JSON lines, every line strict JSON):
 ///   {"rdcn_suite_journal":1,"suite":<name>,"cells":N,"spec":<normalized>}
 ///   {"cell":i,"name":<cell name>,"row":<the emitted JSON row, verbatim>}
-/// The spec is embedded as suite_to_json text, so a journal alone can
-/// resume its suite; rows are stored verbatim, which is what makes the
-/// resumed output bit-identical to an uninterrupted run.
+/// Records follow in completion order. The spec is embedded as
+/// suite_to_json text, so a journal alone can resume its suite; rows are
+/// stored verbatim, which is what makes the resumed output bit-identical
+/// to an uninterrupted run. A final line with no newline that does not
+/// parse is a torn append and is dropped (its cell re-runs); any other
+/// malformed line is an error.
 struct SuiteJournal {
   SuiteSpec spec;
   std::string spec_json;           ///< normalized text, the resume digest
@@ -172,7 +181,8 @@ struct SuiteJournal {
 };
 
 /// Reads and strictly validates a journal file (header tag, spec
-/// round-trip, cell indices/names, row JSON). Throws SuiteError.
+/// round-trip, cell indices/names, row JSON), dropping only a torn final
+/// append. Throws SuiteError.
 SuiteJournal load_suite_journal(const std::string& path);
 
 /// Executes a suite: expands the grid, fans every (cell, policy) through

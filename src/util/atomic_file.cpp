@@ -16,13 +16,9 @@ namespace {
   throw std::runtime_error(what + " " + path + ": " + std::strerror(errno));
 }
 
-}  // namespace
-
-void atomic_write_file(const std::string& path, const std::string& contents) {
-  const std::string temp = path + ".tmp";
-  const int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) fail("cannot create", temp);
-
+/// Writes all of `contents` to `fd`, then fsyncs and closes it; false
+/// (errno set, fd closed) on failure.
+bool write_synced(int fd, const std::string& contents) {
   std::size_t written = 0;
   while (written < contents.size()) {
     const ::ssize_t n =
@@ -30,14 +26,26 @@ void atomic_write_file(const std::string& path, const std::string& contents) {
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
-      ::unlink(temp.c_str());
-      fail("cannot write", temp);
+      return false;
     }
     written += static_cast<std::size_t>(n);
   }
-  if (::fsync(fd) != 0 || ::close(fd) != 0) {
+  if (::fsync(fd) != 0) {
+    ::close(fd);
+    return false;
+  }
+  return ::close(fd) == 0;
+}
+
+}  // namespace
+
+void atomic_write_file(const std::string& path, const std::string& contents) {
+  const std::string temp = path + ".tmp";
+  const int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) fail("cannot create", temp);
+  if (!write_synced(fd, contents)) {
     ::unlink(temp.c_str());
-    fail("cannot sync", temp);
+    fail("cannot write", temp);
   }
   if (std::rename(temp.c_str(), path.c_str()) != 0) {
     ::unlink(temp.c_str());
@@ -52,6 +60,12 @@ void atomic_write_file(const std::string& path, const std::string& contents) {
     ::fsync(dir_fd);  // best-effort: some filesystems reject directory fsync
     ::close(dir_fd);
   }
+}
+
+void append_synced(const std::string& path, const std::string& contents) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+  if (fd < 0) fail("cannot open", path);
+  if (!write_synced(fd, contents)) fail("cannot append to", path);
 }
 
 }  // namespace rdcn

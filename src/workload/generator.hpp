@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "net/instance.hpp"
+#include "util/enum_names.hpp"
 #include "util/rng.hpp"
 
 namespace rdcn {
@@ -89,8 +90,23 @@ Instance generate_workload(const Topology& topology, const WorkloadConfig& confi
 void append_flow(Instance& instance, Time arrival, double total_weight, std::int64_t size,
                  NodeIndex source, NodeIndex destination);
 
-/// Human-readable labels for the benchmark tables.
-const char* to_string(PairSkew skew);
-const char* to_string(WeightDist weights);
+/// Spellings shared by suite files, CLI flags and benchmark tables.
+inline std::span<const EnumName<PairSkew>> enum_names(PairSkew) {
+  static constexpr EnumName<PairSkew> kNames[] = {{PairSkew::Uniform, "uniform"},
+                                                  {PairSkew::Zipf, "zipf"},
+                                                  {PairSkew::Hotspot, "hotspot"},
+                                                  {PairSkew::Permutation, "permutation"},
+                                                  {PairSkew::Incast, "incast"}};
+  return kNames;
+}
+
+inline std::span<const EnumName<WeightDist>> enum_names(WeightDist) {
+  static constexpr EnumName<WeightDist> kNames[] = {
+      {WeightDist::Unit, "unit"},
+      {WeightDist::UniformInt, "uniform-int"},
+      {WeightDist::Pareto, "pareto"},
+      {WeightDist::Bimodal, "bimodal"}};
+  return kNames;
+}
 
 }  // namespace rdcn

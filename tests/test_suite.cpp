@@ -9,10 +9,14 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <functional>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "run/random.hpp"
@@ -215,10 +219,481 @@ TEST(SuiteParse, StandaloneStagesDocumentMatchesTheSuiteKey) {
   EXPECT_THROW(load_stages_file("/nonexistent/stages.json"), SuiteError);
 }
 
+/// Every topology kind, on-off traffic under the max_matching capacity
+/// model, engines with every key, and a stage with every mutation key.
+const char* kEveryKey = R"({
+  "suite": "every-key",
+  "mode": "stream",
+  "seeds": {"base": 7, "repetitions": 2},
+  "policies": ["alg", "maxweight"],
+  "engines": [
+    {"name": "delayed", "speedup": 2, "reconfig_delay": 3, "audit": true},
+    {"capacity": 2, "profile": true}
+  ],
+  "topologies": [
+    {"name": "tt", "kind": "two_tier", "racks": 6, "lasers": 3, "photodetectors": 2,
+     "density": 0.75, "max_edge_delay": 4, "attach_delay": 1, "fixed_link_delay": 9,
+     "allow_self_edges": true, "seed_salt": 11},
+    {"kind": "crossbar", "ports": 5, "fixed_wiring": true},
+    {"kind": "oversubscribed", "racks": 9, "hot_racks": 2, "hot_lasers": 3,
+     "hot_photodetectors": 4, "cold_lasers": 1, "cold_photodetectors": 5,
+     "density": 0.5, "fast_delay": 6, "slow_delay": 7, "slow_fraction": 0.25,
+     "attach_delay": 10, "fixed_base_delay": 11, "oversubscription": 3.5},
+    {"kind": "expander", "racks": 7, "degree": 3, "lasers": 2, "photodetectors": 4,
+     "min_edge_delay": 1, "max_edge_delay": 5, "attach_delay": 0,
+     "fixed_link_delay": 6, "seed_salt": 12},
+    {"kind": "rotor", "racks": 6, "ports": 2, "matchings": 3, "edge_delay": 4,
+     "attach_delay": 1, "fixed_link_delay": 5, "seed_salt": 7}
+  ],
+  "traffic": [
+    {"name": "burst", "process": "onoff", "rho": 0.7, "capacity_model": "max_matching",
+     "skew": "hotspot", "zipf_exponent": 1.5, "hotspot_fraction": 0.3,
+     "weights": "pareto", "weight_max": 12, "pareto_shape": 1.7,
+     "elephant_fraction": 0.2, "on_stay": 0.8, "off_stay": 0.6,
+     "max_zero_demand_fraction": 0.75}
+  ],
+  "stream": {"warmup": 10, "measure": 100, "window": 32, "max_steps": 5000,
+             "step_cap_factor": 4.5},
+  "stages": [
+    {"duration": 40, "rho": 0.5, "on_stay": 0.7, "off_stay": 0.4, "kill_edges": [1, 3],
+     "restore_edges": [0], "kill_racks": [1], "restore_racks": [2], "speedup": 2,
+     "capacity": 1, "dead": "requeue"},
+    {"duration": 0}
+  ]
+})";
+
+// suite_to_json output, byte for byte. Journals embed this text and
+// --resume compares it, so a change here makes every journal written by
+// an older build unresumable.
+
+const char* kMinimalBatchNormalized = R"json({
+  "suite": "mini",
+  "mode": "batch",
+  "seeds": {
+    "base": 1,
+    "repetitions": 3
+  },
+  "policies": [
+    "alg"
+  ],
+  "engines": [
+    {
+      "name": "s1c1r0",
+      "speedup": 1,
+      "capacity": 1,
+      "reconfig_delay": 0,
+      "audit": false,
+      "profile": false
+    }
+  ],
+  "topologies": [
+    {
+      "name": "crossbar",
+      "kind": "crossbar",
+      "ports": 4,
+      "seed_salt": 0,
+      "fixed_wiring": false
+    }
+  ],
+  "workloads": [
+    {
+      "name": "uniform",
+      "packets": 10,
+      "rate": 2,
+      "skew": "uniform",
+      "zipf_exponent": 1.2,
+      "hotspot_fraction": 0.5,
+      "weights": "uniform-int",
+      "weight_max": 10,
+      "pareto_shape": 1.3,
+      "elephant_fraction": 0.1,
+      "bursty": false,
+      "burst_off_prob": 0.7
+    }
+  ]
+}
+)json";
+
+const char* kZooStreamNormalized = R"json({
+  "suite": "zoo-stream",
+  "mode": "stream",
+  "seeds": {
+    "base": 5,
+    "repetitions": 2
+  },
+  "policies": [
+    "alg",
+    "fifo"
+  ],
+  "engines": [
+    {
+      "name": "fast",
+      "speedup": 2,
+      "capacity": 1,
+      "reconfig_delay": 0,
+      "audit": false,
+      "profile": false
+    }
+  ],
+  "topologies": [
+    {
+      "name": "rot",
+      "kind": "rotor",
+      "racks": 5,
+      "ports": 2,
+      "matchings": 0,
+      "edge_delay": 1,
+      "attach_delay": 0,
+      "fixed_link_delay": 0,
+      "seed_salt": 0,
+      "fixed_wiring": false
+    },
+    {
+      "name": "exp",
+      "kind": "expander",
+      "racks": 6,
+      "degree": 2,
+      "lasers": 2,
+      "photodetectors": 2,
+      "min_edge_delay": 1,
+      "max_edge_delay": 2,
+      "attach_delay": 0,
+      "fixed_link_delay": 0,
+      "seed_salt": 0,
+      "fixed_wiring": false
+    }
+  ],
+  "traffic": [
+    {
+      "name": "p6",
+      "process": "poisson",
+      "rho": 0.6,
+      "capacity_model": "ports",
+      "skew": "uniform",
+      "zipf_exponent": 1.2,
+      "hotspot_fraction": 0.5,
+      "weights": "uniform-int",
+      "weight_max": 10,
+      "pareto_shape": 1.3,
+      "elephant_fraction": 0.1,
+      "on_stay": 0.9,
+      "off_stay": 0.7,
+      "max_zero_demand_fraction": 0.5
+    },
+    {
+      "name": "oo",
+      "process": "onoff",
+      "rho": 0.9,
+      "capacity_model": "ports",
+      "skew": "uniform",
+      "zipf_exponent": 1.2,
+      "hotspot_fraction": 0.5,
+      "weights": "uniform-int",
+      "weight_max": 10,
+      "pareto_shape": 1.3,
+      "elephant_fraction": 0.1,
+      "on_stay": 0.85,
+      "off_stay": 0.7,
+      "max_zero_demand_fraction": 0.5
+    }
+  ],
+  "stream": {
+    "warmup": 50,
+    "measure": 400,
+    "window": 64,
+    "max_steps": 0,
+    "step_cap_factor": 3
+  }
+}
+)json";
+
+const char* kStagedStreamNormalized = R"json({
+  "suite": "staged",
+  "mode": "stream",
+  "seeds": {
+    "base": 1,
+    "repetitions": 3
+  },
+  "policies": [
+    "alg"
+  ],
+  "engines": [
+    {
+      "name": "s1c1r0",
+      "speedup": 1,
+      "capacity": 1,
+      "reconfig_delay": 0,
+      "audit": false,
+      "profile": false
+    }
+  ],
+  "topologies": [
+    {
+      "name": "two_tier",
+      "kind": "two_tier",
+      "racks": 5,
+      "lasers": 2,
+      "photodetectors": 2,
+      "density": 1,
+      "max_edge_delay": 1,
+      "attach_delay": 0,
+      "fixed_link_delay": 0,
+      "allow_self_edges": false,
+      "seed_salt": 0,
+      "fixed_wiring": false
+    }
+  ],
+  "traffic": [
+    {
+      "name": "poisson",
+      "process": "poisson",
+      "rho": 0.6,
+      "capacity_model": "ports",
+      "skew": "uniform",
+      "zipf_exponent": 1.2,
+      "hotspot_fraction": 0.5,
+      "weights": "uniform-int",
+      "weight_max": 10,
+      "pareto_shape": 1.3,
+      "elephant_fraction": 0.1,
+      "on_stay": 0.9,
+      "off_stay": 0.7,
+      "max_zero_demand_fraction": 0.5
+    }
+  ],
+  "stream": {
+    "warmup": 50,
+    "measure": 400,
+    "window": 256,
+    "max_steps": 0,
+    "step_cap_factor": 8
+  },
+  "stages": [
+    {
+      "duration": 60,
+      "rho": -1,
+      "on_stay": -1,
+      "off_stay": -1,
+      "kill_edges": [],
+      "restore_edges": [],
+      "kill_racks": [],
+      "restore_racks": [],
+      "speedup": 0,
+      "capacity": 0,
+      "dead": "drop"
+    },
+    {
+      "duration": 60,
+      "rho": 0.4,
+      "on_stay": -1,
+      "off_stay": -1,
+      "kill_edges": [
+        1,
+        2
+      ],
+      "restore_edges": [],
+      "kill_racks": [
+        0
+      ],
+      "restore_racks": [],
+      "speedup": 2,
+      "capacity": 0,
+      "dead": "requeue"
+    },
+    {
+      "duration": 0,
+      "rho": -1,
+      "on_stay": -1,
+      "off_stay": -1,
+      "kill_edges": [],
+      "restore_edges": [
+        1,
+        2
+      ],
+      "kill_racks": [],
+      "restore_racks": [
+        0
+      ],
+      "speedup": 0,
+      "capacity": 0,
+      "dead": "drop"
+    }
+  ]
+}
+)json";
+
+const char* kEveryKeyNormalized = R"json({
+  "suite": "every-key",
+  "mode": "stream",
+  "seeds": {
+    "base": 7,
+    "repetitions": 2
+  },
+  "policies": [
+    "alg",
+    "maxweight"
+  ],
+  "engines": [
+    {
+      "name": "delayed",
+      "speedup": 2,
+      "capacity": 1,
+      "reconfig_delay": 3,
+      "audit": true,
+      "profile": false
+    },
+    {
+      "name": "s1c2r0-profile",
+      "speedup": 1,
+      "capacity": 2,
+      "reconfig_delay": 0,
+      "audit": false,
+      "profile": true
+    }
+  ],
+  "topologies": [
+    {
+      "name": "tt",
+      "kind": "two_tier",
+      "racks": 6,
+      "lasers": 3,
+      "photodetectors": 2,
+      "density": 0.75,
+      "max_edge_delay": 4,
+      "attach_delay": 1,
+      "fixed_link_delay": 9,
+      "allow_self_edges": true,
+      "seed_salt": 11,
+      "fixed_wiring": false
+    },
+    {
+      "name": "crossbar",
+      "kind": "crossbar",
+      "ports": 5,
+      "seed_salt": 0,
+      "fixed_wiring": true
+    },
+    {
+      "name": "oversubscribed",
+      "kind": "oversubscribed",
+      "racks": 9,
+      "hot_racks": 2,
+      "hot_lasers": 3,
+      "hot_photodetectors": 4,
+      "cold_lasers": 1,
+      "cold_photodetectors": 5,
+      "density": 0.5,
+      "fast_delay": 6,
+      "slow_delay": 7,
+      "slow_fraction": 0.25,
+      "attach_delay": 10,
+      "fixed_base_delay": 11,
+      "oversubscription": 3.5,
+      "seed_salt": 0,
+      "fixed_wiring": false
+    },
+    {
+      "name": "expander",
+      "kind": "expander",
+      "racks": 7,
+      "degree": 3,
+      "lasers": 2,
+      "photodetectors": 4,
+      "min_edge_delay": 1,
+      "max_edge_delay": 5,
+      "attach_delay": 0,
+      "fixed_link_delay": 6,
+      "seed_salt": 12,
+      "fixed_wiring": false
+    },
+    {
+      "name": "rotor",
+      "kind": "rotor",
+      "racks": 6,
+      "ports": 2,
+      "matchings": 3,
+      "edge_delay": 4,
+      "attach_delay": 1,
+      "fixed_link_delay": 5,
+      "seed_salt": 7,
+      "fixed_wiring": false
+    }
+  ],
+  "traffic": [
+    {
+      "name": "burst",
+      "process": "onoff",
+      "rho": 0.7,
+      "capacity_model": "max_matching",
+      "skew": "hotspot",
+      "zipf_exponent": 1.5,
+      "hotspot_fraction": 0.3,
+      "weights": "pareto",
+      "weight_max": 12,
+      "pareto_shape": 1.7,
+      "elephant_fraction": 0.2,
+      "on_stay": 0.8,
+      "off_stay": 0.6,
+      "max_zero_demand_fraction": 0.75
+    }
+  ],
+  "stream": {
+    "warmup": 10,
+    "measure": 100,
+    "window": 32,
+    "max_steps": 5000,
+    "step_cap_factor": 4.5
+  },
+  "stages": [
+    {
+      "duration": 40,
+      "rho": 0.5,
+      "on_stay": 0.7,
+      "off_stay": 0.4,
+      "kill_edges": [
+        1,
+        3
+      ],
+      "restore_edges": [
+        0
+      ],
+      "kill_racks": [
+        1
+      ],
+      "restore_racks": [
+        2
+      ],
+      "speedup": 2,
+      "capacity": 1,
+      "dead": "requeue"
+    },
+    {
+      "duration": 0,
+      "rho": -1,
+      "on_stay": -1,
+      "off_stay": -1,
+      "kill_edges": [],
+      "restore_edges": [],
+      "kill_racks": [],
+      "restore_racks": [],
+      "speedup": 0,
+      "capacity": 0,
+      "dead": "drop"
+    }
+  ]
+}
+)json";
+
 TEST(SuiteParse, GoldenRoundTripIsAFixpoint) {
-  for (const char* text : {kMinimalBatch, kZooStream, kStagedStream}) {
+  const std::vector<std::pair<const char*, const char*>> cases = {
+      {kMinimalBatch, kMinimalBatchNormalized},
+      {kZooStream, kZooStreamNormalized},
+      {kStagedStream, kStagedStreamNormalized},
+      {kEveryKey, kEveryKeyNormalized}};
+  for (const auto& [text, golden] : cases) {
     const SuiteSpec suite = parse_suite(text);
     const std::string normalized = suite_to_json(suite);
+    EXPECT_EQ(normalized, golden);
     const SuiteSpec reparsed = parse_suite(normalized);
     EXPECT_EQ(suite_to_json(reparsed), normalized);
     // The round trip preserves the expanded grid cell for cell.
@@ -229,6 +704,152 @@ TEST(SuiteParse, GoldenRoundTripIsAFixpoint) {
       for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].name, b[i].name);
     }
   }
+}
+
+TEST(SuiteParse, EveryKeyLandsInItsMember) {
+  // Round trips cannot see a key read into the wrong member when the
+  // writer makes the mirror-image mistake, so this pins each key of the
+  // every-key document (values distinct within each object) by hand.
+  const SuiteSpec suite = parse_suite(kEveryKey);
+  EXPECT_EQ(std::tie(suite.base_seed, suite.repetitions), std::make_tuple(7u, 2u));
+  const EngineOptions& delayed = suite.engines.at(0).options;
+  EXPECT_EQ(std::tie(delayed.speedup_rounds, delayed.endpoint_capacity,
+                     delayed.reconfig_delay, delayed.audit, delayed.probe.enabled),
+            std::make_tuple(2, 1, 3, true, false));
+  EXPECT_EQ(suite.engines.at(1).label, "s1c2r0-profile");
+
+  const TopologySpec& tt = suite.topologies.at(0).spec;
+  const TwoTierConfig& pod = tt.two_tier;
+  EXPECT_EQ(std::tie(pod.racks, pod.lasers_per_rack, pod.photodetectors_per_rack,
+                     pod.max_edge_delay, pod.attach_delay, pod.fixed_link_delay, tt.seed_salt),
+            std::make_tuple(6, 3, 2, 4, 1, 9, 11u));
+  EXPECT_EQ(pod.density, 0.75);
+  EXPECT_EQ(std::tie(pod.allow_self_edges, tt.fixed_wiring), std::make_tuple(true, false));
+  const TopologySpec& xbar = suite.topologies.at(1).spec;
+  EXPECT_EQ(std::tie(xbar.crossbar_ports, xbar.fixed_wiring), std::make_tuple(5, true));
+  const OversubscribedConfig& over = suite.topologies.at(2).spec.oversubscribed;
+  EXPECT_EQ(std::tie(over.racks, over.hot_racks, over.hot_lasers, over.hot_photodetectors,
+                     over.cold_lasers, over.cold_photodetectors),
+            std::make_tuple(9, 2, 3, 4, 1, 5));
+  EXPECT_EQ(std::tie(over.fast_delay, over.slow_delay, over.attach_delay,
+                     over.fixed_base_delay),
+            std::make_tuple(6, 7, 10, 11));
+  EXPECT_EQ(std::tie(over.density, over.slow_fraction, over.oversubscription),
+            std::make_tuple(0.5, 0.25, 3.5));
+  const ExpanderConfig& exp = suite.topologies.at(3).spec.expander;
+  EXPECT_EQ(std::tie(exp.racks, exp.degree, exp.lasers_per_rack, exp.photodetectors_per_rack,
+                     exp.min_edge_delay, exp.max_edge_delay, exp.attach_delay,
+                     exp.fixed_link_delay),
+            std::make_tuple(7, 3, 2, 4, 1, 5, 0, 6));
+  EXPECT_EQ(suite.topologies.at(3).spec.seed_salt, 12u);
+  const RotorConfig& rot = suite.topologies.at(4).spec.rotor;
+  EXPECT_EQ(std::tie(rot.racks, rot.ports_per_rack, rot.num_matchings, rot.edge_delay,
+                     rot.attach_delay, rot.fixed_link_delay),
+            std::make_tuple(6, 2, 3, 4, 1, 5));
+  EXPECT_EQ(suite.topologies.at(4).spec.seed_salt, 7u);
+
+  const TrafficConfig& traffic = suite.traffic.at(0).config;
+  const WorkloadConfig& shape = traffic.shape;
+  EXPECT_EQ(std::tie(traffic.process, traffic.capacity_model, shape.skew, shape.weights,
+                     shape.weight_max),
+            std::make_tuple(ArrivalProcess::OnOff, CapacityModel::MaxMatching,
+                            PairSkew::Hotspot, WeightDist::Pareto, 12));
+  EXPECT_EQ(std::tie(traffic.rho, shape.zipf_exponent, shape.hotspot_fraction,
+                     shape.pareto_shape, shape.elephant_fraction, traffic.on_stay,
+                     traffic.off_stay, traffic.max_zero_demand_fraction),
+            std::make_tuple(0.7, 1.5, 0.3, 1.7, 0.2, 0.8, 0.6, 0.75));
+  EXPECT_EQ(std::tie(suite.warmup_packets, suite.measure_packets, suite.telemetry_window,
+                     suite.max_steps),
+            std::make_tuple(10u, 100u, 32, 5000));
+  EXPECT_EQ(suite.step_cap_factor, 4.5);
+
+  const StageSpec& stage = suite.stages.at(0);
+  const StageMutation& m = stage.mutation;
+  EXPECT_EQ(
+      std::tie(stage.duration, m.speedup_rounds, m.endpoint_capacity, m.dead_policy),
+      std::make_tuple(40, 2, 1, DeadPolicy::Requeue));
+  EXPECT_EQ(std::tie(stage.rho, stage.on_stay, stage.off_stay),
+            std::make_tuple(0.5, 0.7, 0.4));
+  EXPECT_EQ(m.kill_edges, (std::vector<EdgeIndex>{1, 3}));
+  EXPECT_EQ(m.restore_edges, (std::vector<EdgeIndex>{0}));
+  EXPECT_EQ(m.kill_racks, (std::vector<NodeIndex>{1}));
+  EXPECT_EQ(m.restore_racks, (std::vector<NodeIndex>{2}));
+
+  // Batch workload keys, which a stream document cannot hold.
+  const WorkloadConfig workload = parse_suite(R"({
+    "suite": "w", "policies": ["alg"], "topologies": [{"kind": "crossbar"}],
+    "workloads": [{"packets": 33, "rate": 2.5, "skew": "incast", "zipf_exponent": 1.1,
+                   "hotspot_fraction": 0.35, "weights": "bimodal", "weight_max": 44,
+                   "pareto_shape": 1.9, "elephant_fraction": 0.15, "bursty": true,
+                   "burst_off_prob": 0.45}]
+  })").workloads.at(0).config;
+  EXPECT_EQ(std::tie(workload.num_packets, workload.skew, workload.weights,
+                     workload.weight_max, workload.bursty),
+            std::make_tuple(33u, PairSkew::Incast, WeightDist::Bimodal, 44, true));
+  EXPECT_EQ(std::tie(workload.arrival_rate, workload.zipf_exponent,
+                     workload.hotspot_fraction, workload.pareto_shape,
+                     workload.elephant_fraction, workload.burst_off_prob),
+            std::make_tuple(2.5, 1.1, 0.35, 1.9, 0.15, 0.45));
+}
+
+/// Rebuilds the whole document around a replacement for one value.
+using Rebuild = std::function<json::Value(json::Value)>;
+
+/// Collects (path, document) pairs: for every object key anywhere under
+/// `value`, the document with that key's value swapped for one of the
+/// wrong JSON type (strings become numbers, everything else a string).
+void mistype_each_key(const json::Value& value, const std::string& path,
+                      const Rebuild& rebuild,
+                      std::vector<std::pair<std::string, json::Value>>& out) {
+  if (value.is_object()) {
+    const json::Object& object = value.as_object();
+    for (std::size_t k = 0; k < object.size(); ++k) {
+      const std::string& key = object[k].first;
+      const std::string key_path = path.empty() ? key : path + "." + key;
+      const Rebuild member = [&rebuild, &object, k](json::Value replacement) {
+        json::Object copy = object;
+        copy[k].second = std::move(replacement);
+        return rebuild(json::Value(std::move(copy)));
+      };
+      const json::Value& old = object[k].second;
+      out.emplace_back(key_path, member(old.is_string() ? json::Value(std::int64_t{1})
+                                                        : json::Value("mistyped")));
+      mistype_each_key(old, key_path, member, out);
+    }
+  } else if (value.is_array()) {
+    const json::Array& array = value.as_array();
+    for (std::size_t i = 0; i < array.size(); ++i) {
+      const Rebuild element = [&rebuild, &array, i](json::Value replacement) {
+        json::Array copy = array;
+        copy[i] = std::move(replacement);
+        return rebuild(json::Value(std::move(copy)));
+      };
+      mistype_each_key(array[i], path + "[" + std::to_string(i) + "]", element, out);
+    }
+  }
+}
+
+TEST(SuiteParse, EveryKeyRejectsAWrongTypeAtItsPath) {
+  // The keys come from the normalized documents, i.e. from the schema
+  // itself, not from a hand-kept list.
+  std::size_t keys = 0;
+  for (const char* text : {kEveryKey, kMinimalBatch}) {
+    const json::Value document = json::parse(suite_to_json(parse_suite(text)));
+    std::vector<std::pair<std::string, json::Value>> cases;
+    mistype_each_key(document, "", [](json::Value whole) { return whole; }, cases);
+    for (const auto& [path, mistyped] : cases) {
+      try {
+        parse_suite(json::dump(mistyped));
+        ADD_FAILURE() << "accepted a mistyped " << path;
+      } catch (const SuiteError& error) {
+        EXPECT_EQ(error.path(), path) << error.what();
+        EXPECT_NE(std::string(error.what()).find("expected "), std::string::npos)
+            << error.what();
+      }
+    }
+    keys += cases.size();
+  }
+  EXPECT_GT(keys, 150u);
 }
 
 // --- suite parsing: negative paths ------------------------------------------
@@ -377,6 +998,8 @@ TEST(SuiteParse, StageErrorsNameTheExactPath) {
                      "stages[0].duration", "last stage only");
   expect_suite_error(stream_prefix + R"("stages": [{"duration": 5, "rho": -0.3}]})",
                      "stages[0].rho", "must be positive");
+  expect_suite_error(stream_prefix + R"("stages": [{"duration": 5, "off_stay": 0}]})",
+                     "stages[0].off_stay", "must be in (0, 1), or -1 to inherit");
   expect_suite_error(stream_prefix + R"("stages": [{"duration": 5, "kill_edges": [-1]}]})",
                      "stages[0].kill_edges[0]", "out of range");
   expect_suite_error(stream_prefix + R"("stages": [{"duration": 5, "dead": "panic"}]})",
@@ -391,6 +1014,21 @@ TEST(SuiteParse, CrossFieldConstraints) {
     "engines": [{"capacity": 2, "reconfig_delay": 1}],
     "topologies": [{"kind": "crossbar"}], "workloads": [{"packets": 10}]
   })", "engines[0].reconfig_delay", "requires capacity == 1");
+  const auto one_topology = [](const std::string& topology) {
+    return R"({"suite": "x", "policies": ["alg"], "topologies": [)" + topology +
+           R"(], "workloads": [{"packets": 10}]})";
+  };
+  expect_suite_error(one_topology(R"({"kind": "oversubscribed", "racks": 4,
+                                      "hot_racks": 5})"),
+                     "topologies[0].hot_racks", "5 exceeds racks (4)");
+  expect_suite_error(one_topology(R"({"kind": "oversubscribed", "fast_delay": 3,
+                                      "slow_delay": 2})"),
+                     "topologies[0].slow_delay", "2 is below fast_delay (3)");
+  expect_suite_error(one_topology(R"({"kind": "expander", "min_edge_delay": 4,
+                                      "max_edge_delay": 3})"),
+                     "topologies[0].max_edge_delay", "3 is below min_edge_delay (4)");
+  expect_suite_error(one_topology(R"({"kind": "rotor", "racks": 4, "matchings": 4})"),
+                     "topologies[0].matchings", "4 exceeds racks - 1 (3); 0 selects all");
   expect_suite_error(R"({
     "suite": "x", "policies": ["alg", "alg"],
     "topologies": [{"kind": "crossbar"}], "workloads": [{"packets": 10}]
@@ -605,6 +1243,42 @@ TEST(SuiteFault, JournalLoaderIsStrict) {
     out << R"({"x": 1})" << "\n";
   }
   EXPECT_THROW(load_suite_journal(untagged), SuiteError);
+
+  // A crash mid-append tears the final record: without its newline and
+  // unparseable, it is dropped on load and that cell re-runs. The same
+  // bytes anywhere else are corruption.
+  const SuiteRunner runner(parse_suite(kJournalSuite));
+  SuiteRunOptions options;
+  options.threads = 1;
+  options.journal = journal_path("suite_whole.journal");
+  runner.run(options);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(options.journal);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 5u);  // header + 4 cells
+  const auto torn_cell =
+      static_cast<std::size_t>(json::parse(lines[4]).find("cell")->as_integer());
+  const std::string torn = lines[4].substr(0, lines[4].size() / 2);
+  const auto write = [](const std::string& name, const std::string& text) {
+    const std::string path = journal_path(name);
+    std::ofstream(path) << text;
+    return path;
+  };
+  const std::string head = lines[0] + "\n" + lines[1] + "\n" + lines[2] + "\n";
+
+  const SuiteJournal recovered =
+      load_suite_journal(write("suite_torn.journal", head + lines[3] + "\n" + torn));
+  for (std::size_t i = 0; i < recovered.rows.size(); ++i) {
+    EXPECT_EQ(recovered.rows[i].empty(), i == torn_cell) << i;
+  }
+  EXPECT_THROW(load_suite_journal(write("suite_torn_mid.journal",
+                                        head + torn + "\n" + lines[3] + "\n")),
+               SuiteError);
+  EXPECT_THROW(load_suite_journal(write("suite_torn_newline.journal",
+                                        head + lines[3] + "\n" + torn + "\n")),
+               SuiteError);
 }
 
 TEST(SuiteFault, IsolateRendersStructuredErrorRows) {
@@ -849,6 +1523,129 @@ TEST(FuzzGrid, StreamSpecsDrawStagedSchedulesWithBothDeadPolicies) {
   EXPECT_TRUE(saw_requeue);
   EXPECT_TRUE(saw_kill);
   EXPECT_TRUE(saw_restore);
+}
+
+// --- suite round trip over the fuzz grid -------------------------------------
+
+/// A one-cell suite around a fuzz draw: everything a suite document can
+/// name (topology, engine knobs, seeds); the caller adds the workload or
+/// traffic axis.
+SuiteSpec one_cell_suite(SuiteSpec::Mode mode, const TopologySpec& topology,
+                         const EngineOptions& engine, std::uint64_t seed) {
+  SuiteSpec suite;
+  suite.name = "fuzz";
+  suite.mode = mode;
+  suite.base_seed = seed;
+  suite.repetitions = 1;
+  suite.policies = {"alg"};
+  suite.topologies = {{"t", topology}};
+  suite.engines = {{"e", engine}};
+  return suite;
+}
+
+/// parse_suite(suite_to_json(suite)), or nullopt for a draw outside a suite
+/// range -- only the uint64 wiring salt can be, and that is what it checks.
+std::optional<SuiteSpec> round_trip(const SuiteSpec& suite, const std::string& draw,
+                                    std::vector<std::string>& skipped) {
+  try {
+    return parse_suite(suite_to_json(suite));
+  } catch (const SuiteError& error) {
+    EXPECT_EQ(error.path(), "topologies[0].seed_salt") << draw << ": " << error.what();
+    EXPECT_GT(suite.topologies[0].spec.seed_salt,
+              static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()));
+    skipped.push_back(draw);
+    return std::nullopt;
+  }
+}
+
+auto engine_knobs(const EngineOptions& e) {
+  return std::tie(e.speedup_rounds, e.endpoint_capacity, e.reconfig_delay, e.audit,
+                  e.probe.enabled);
+}
+
+auto traffic_knobs(const TrafficConfig& t) {
+  const WorkloadConfig& s = t.shape;
+  return std::tie(t.process, t.rho, t.capacity_model, t.on_stay, t.off_stay,
+                  t.speedup_rounds, t.max_zero_demand_fraction, s.skew, s.zipf_exponent,
+                  s.hotspot_fraction, s.weights, s.weight_max, s.pareto_shape,
+                  s.elephant_fraction);
+}
+
+auto stage_knobs(const StageSpec& stage) {
+  const StageMutation& m = stage.mutation;
+  return std::tie(stage.duration, stage.rho, stage.on_stay, stage.off_stay, m.kill_edges,
+                  m.restore_edges, m.kill_racks, m.restore_racks, m.speedup_rounds,
+                  m.endpoint_capacity, m.dead_policy);
+}
+
+std::vector<std::tuple<PacketIndex, Time, Weight, NodeIndex, NodeIndex>> packet_list(
+    const Instance& instance) {
+  std::vector<std::tuple<PacketIndex, Time, Weight, NodeIndex, NodeIndex>> list;
+  for (const Packet& p : instance.packets()) {
+    list.emplace_back(p.id, p.arrival, p.weight, p.source, p.destination);
+  }
+  return list;
+}
+
+TEST(FuzzGrid, SuiteRoundTripRebuildsEveryDrawnCell) {
+  // The oracle compares what the cells build and hold, never JSON text, so
+  // the writer is not checked against itself.
+  std::vector<std::string> skipped;
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    const ScenarioSpec batch = random_scenario_spec(seed);
+    SuiteSpec suite =
+        one_cell_suite(SuiteSpec::Mode::Batch, batch.topology, batch.engine, seed);
+    suite.workloads = {{"w", batch.workload}};
+    if (const std::optional<SuiteSpec> back =
+            round_trip(suite, "batch seed " + std::to_string(seed), skipped)) {
+      const ScenarioSpec cell = suite_batch_grid(*back).at(0);
+      const Instance expected = ScenarioRunner(batch).instance(seed);
+      const Instance actual = ScenarioRunner(cell).instance(seed);
+      EXPECT_EQ(edge_list(actual.topology()), edge_list(expected.topology())) << seed;
+      EXPECT_EQ(packet_list(actual), packet_list(expected)) << seed;
+      EXPECT_EQ(engine_knobs(cell.engine), engine_knobs(batch.engine)) << seed;
+      EXPECT_EQ(cell.base_seed, batch.base_seed);
+      ++checked;
+    }
+
+    const StreamSpec stream = random_stream_spec(seed);
+    suite = one_cell_suite(SuiteSpec::Mode::Stream, stream.topology, stream.engine, seed);
+    suite.traffic = {{"f", stream.traffic}};
+    suite.warmup_packets = stream.warmup_packets;
+    suite.measure_packets = stream.measure_packets;
+    suite.telemetry_window = stream.telemetry_window;
+    suite.max_steps = stream.max_steps;
+    suite.step_cap_factor = stream.step_cap_factor;
+    suite.stages = stream.stages;
+    if (const std::optional<SuiteSpec> back =
+            round_trip(suite, "stream seed " + std::to_string(seed), skipped)) {
+      const StreamSpec cell = suite_stream_grid(*back).at(0);
+      EXPECT_EQ(edge_list(make_topology(cell.topology, seed)),
+                edge_list(make_topology(stream.topology, seed)))
+          << seed;
+      EXPECT_EQ(traffic_knobs(cell.traffic), traffic_knobs(stream.traffic)) << seed;
+      EXPECT_EQ(engine_knobs(cell.engine), engine_knobs(stream.engine)) << seed;
+      ASSERT_EQ(cell.stages.size(), stream.stages.size()) << seed;
+      for (std::size_t k = 0; k < cell.stages.size(); ++k) {
+        EXPECT_EQ(stage_knobs(cell.stages[k]), stage_knobs(stream.stages[k])) << seed;
+      }
+      const auto run_knobs = [](const StreamSpec& spec) {
+        return std::tie(spec.warmup_packets, spec.measure_packets, spec.telemetry_window,
+                        spec.max_steps, spec.step_cap_factor);
+      };
+      EXPECT_EQ(run_knobs(cell), run_knobs(stream)) << seed;
+      ++checked;
+    }
+  }
+  // Reported, not hidden: suite files cap seed_salt at int64 max, while the
+  // fuzz grid draws it from the full uint64 range.
+  std::printf("suite round trip: %zu of 200 fuzz draws checked; %zu carry a seed_salt "
+              "above the suite range:",
+              checked, skipped.size());
+  for (const std::string& draw : skipped) std::printf(" [%s]", draw.c_str());
+  std::printf("\n");
+  EXPECT_GT(checked, 80u);
 }
 
 TEST(FuzzGrid, RandomSpecsProduceValidInstances) {

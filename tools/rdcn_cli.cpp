@@ -7,6 +7,8 @@
 //         [--weights unit|uniform-int|pareto|bimodal] [--wmax N]
 //         [--bursty] [--seed S]
 //       Generates a workload over a two-tier pod and writes an instance file.
+//       Enum-valued flags (--skew, --weights, --source) take the suite files'
+//       spellings; an unknown value exits 2 and lists the known names.
 //   run   <in.inst> [--policy <name>] [--capacity B] [--speedup K]
 //         [--reconfig D] [--reps N] [--seed S]
 //       Replays an instance under a registry policy and prints the schedule
@@ -49,8 +51,9 @@
 //       cell. --list prints the expanded cells without running. Parse
 //       errors name the offending JSON path and exit nonzero.
 //       Fault tolerance (README "Fault tolerance & resume"): --journal
-//       rewrites a crash-safe manifest (atomic write-temp-fsync-rename)
-//       after every completed cell; --resume loads such a journal (the
+//       keeps a crash-safe manifest (header written atomically, then one
+//       fsynced record appended per completed cell; a torn last line is
+//       dropped on load); --resume loads such a journal (the
 //       spec travels inside it, so the positional file is optional and,
 //       when given, must normalize identically), skips recorded cells and
 //       prints merged output bit-identical to an uninterrupted run.
@@ -87,6 +90,7 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -182,31 +186,27 @@ void fill_two_tier(const Args& args, TwoTierConfig& net) {
   net.fixed_link_delay = static_cast<Delay>(args.number("--fixed-dl", 0));
 }
 
+/// An enum-valued flag, spelled as in suite files; an unknown value lists
+/// the known names and exits nonzero.
+template <class Enum>
+Enum enum_flag(const Args& args, const char* flag, Enum fallback) {
+  const std::string text = args.value(flag, to_string(fallback));
+  if (const std::optional<Enum> value = from_string<Enum>(text)) return *value;
+  std::fprintf(stderr, "unknown %s '%s'; known:%s\n", flag, text.c_str(),
+               known_names<Enum>().c_str());
+  std::exit(2);
+}
+
 void fill_shape(const Args& args, WorkloadConfig& shape) {
-  const std::string skew = args.value("--skew", "zipf");
-  shape.skew = skew == "uniform"       ? PairSkew::Uniform
-               : skew == "hotspot"     ? PairSkew::Hotspot
-               : skew == "permutation" ? PairSkew::Permutation
-               : skew == "incast"      ? PairSkew::Incast
-                                       : PairSkew::Zipf;
+  shape.skew = enum_flag(args, "--skew", PairSkew::Zipf);
   shape.zipf_exponent = args.number("--zipf", 1.2);
-  const std::string weights = args.value("--weights", "uniform-int");
-  shape.weights = weights == "unit"      ? WeightDist::Unit
-                  : weights == "pareto"  ? WeightDist::Pareto
-                  : weights == "bimodal" ? WeightDist::Bimodal
-                                         : WeightDist::UniformInt;
+  shape.weights = enum_flag(args, "--weights", WeightDist::UniformInt);
   shape.weight_max = static_cast<std::int64_t>(args.number("--wmax", 10));
 }
 
 TrafficConfig traffic_from(const Args& args) {
   TrafficConfig traffic;
-  const std::string source = args.value("--source", "poisson");
-  if (source == "onoff") {
-    traffic.process = ArrivalProcess::OnOff;
-  } else if (source != "poisson") {
-    std::fprintf(stderr, "unknown --source '%s'; known: poisson onoff\n", source.c_str());
-    std::exit(2);
-  }
+  traffic.process = enum_flag(args, "--source", ArrivalProcess::Poisson);
   traffic.rho = args.number("--rho", 0.8);
   fill_shape(args, traffic.shape);
   traffic.on_stay = args.number("--on-stay", 0.9);
@@ -438,9 +438,7 @@ int cmd_stream(const Args& args) {
 
   Table table({"metric", "value"});
   table.add_row({"policy", policy.name});
-  table.add_row({"source", !trace.empty()                                  ? "trace"
-                           : spec.traffic.process == ArrivalProcess::OnOff ? "onoff"
-                                                                           : "poisson"});
+  table.add_row({"source", trace.empty() ? to_string(spec.traffic.process) : "trace"});
   if (trace.empty()) {
     table.add_row({"target rho / lambda", Table::fmt(spec.traffic.rho, 2) + " / " +
                                               Table::fmt(out.target_rate, 3) + " pkt/step"});
