@@ -11,11 +11,18 @@
 // (ns_per_round, rounds, total_cost); the committed baseline lives in
 // BENCH_hotpath.json and tools/perf_diff gates CI against it.
 //
+// Besides the 400-packet uniform bursts, a deep-backlog shape (pod8_hot)
+// drains a 6000-packet burst with half of it on one rack pair of the
+// 8-rack pod, for alg and maxweight: about 12k chunks pending, nearly all
+// behind an edge head -- the regime where a round that scanned the whole
+// backlog would cost O(backlog) instead of O(edges).
+//
 //   bench_hotpath [--json] [--quick] [--phases] [--no-meta]
 //
 //   --json     print only the JSON lines (what BENCH_hotpath.json stores)
-//   --quick    fewer repetitions, crossbar shape only (the CI perf-smoke
-//              subset; same burst size so row keys match the baseline)
+//   --quick    fewer repetitions, crossbar and deep-backlog shapes only
+//              (the CI perf-smoke subset; same bursts so row keys match
+//              the baseline)
 //   --phases   additionally run probe-enabled drains and emit one row per
 //              round phase (params gain "phase"; metric phase_ns_per_round
 //              = phase self-time / rounds). The gated rows above stay
@@ -48,12 +55,27 @@ using namespace rdcn::bench;
 struct Shape {
   const char* name;
   Topology topology;
+  std::size_t hot_share_percent = 0;  ///< of the burst on rack pair (0, 1)
+  std::size_t packets = 400;
+  std::vector<const char*> policies = {"alg",   "maxweight", "islip",
+                                       "rotor", "random",    "fifo"};
 };
+
+Shape deep_backlog_shape() {
+  TwoTierConfig net;
+  net.racks = 8;
+  net.max_edge_delay = 3;
+  Rng rng(7);
+  return {"pod8_hot", build_two_tier(net, rng), 50, 6000, {"alg", "maxweight"}};
+}
 
 std::vector<Shape> zoo_shapes(bool quick) {
   std::vector<Shape> shapes;
   shapes.push_back({"crossbar16", build_crossbar(16)});
-  if (quick) return shapes;
+  if (quick) {
+    shapes.push_back(deep_backlog_shape());
+    return shapes;
+  }
   {
     TwoTierConfig net;
     net.racks = 12;
@@ -74,10 +96,14 @@ std::vector<Shape> zoo_shapes(bool quick) {
     Rng rng(7);
     shapes.push_back({"expander16d3", build_expander(net, rng)});
   }
+  shapes.push_back(deep_backlog_shape());
   return shapes;
 }
 
-std::vector<Packet> burst(const Topology& topology, std::size_t count, std::uint64_t seed) {
+/// `count` packets at step 1. Packet i goes to rack pair (0, 1) when
+/// i % 100 < hot_share_percent, and to a uniform routable pair otherwise.
+std::vector<Packet> burst(const Topology& topology, std::size_t count, std::uint64_t seed,
+                          std::size_t hot_share_percent = 0) {
   Rng rng(seed);
   std::vector<Packet> packets;
   packets.reserve(count);
@@ -86,10 +112,15 @@ std::vector<Packet> burst(const Topology& topology, std::size_t count, std::uint
     p.id = static_cast<PacketIndex>(packets.size());
     p.arrival = 1;
     p.weight = rng.next_double(0.5, 8.0);
-    p.source =
-        static_cast<NodeIndex>(rng.next_below(static_cast<std::uint64_t>(topology.num_sources())));
-    p.destination = static_cast<NodeIndex>(
-        rng.next_below(static_cast<std::uint64_t>(topology.num_destinations())));
+    if (packets.size() % 100 < hot_share_percent) {
+      p.source = 0;
+      p.destination = 1;
+    } else {
+      p.source = static_cast<NodeIndex>(
+          rng.next_below(static_cast<std::uint64_t>(topology.num_sources())));
+      p.destination = static_cast<NodeIndex>(
+          rng.next_below(static_cast<std::uint64_t>(topology.num_destinations())));
+    }
     if (!topology.routable(p.source, p.destination)) continue;
     packets.push_back(p);
   }
@@ -164,21 +195,20 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // --quick trims shapes and repetitions but keeps the burst size, so its
+  // --quick trims shapes and repetitions but keeps the burst sizes, so its
   // rows carry the same (bench, name, params) keys as the committed
   // BENCH_hotpath.json baseline and perf_diff can match them.
-  const std::size_t packets = 400;
   const int repetitions = quick ? 3 : 5;  // median-of-N; N >= 3 even in CI
-  const std::vector<const char*> policies = {"alg",   "maxweight", "islip",
-                                             "rotor", "random",    "fifo"};
 
   BenchReport report("hotpath");
   if (meta) stamp_meta(report);
   Table table({"shape", "policy", "rounds", "ns/round", "total cost"});
   Table phase_table({"shape", "policy", "phase", "ns/round", "share"});
   for (const Shape& shape : zoo_shapes(quick)) {
-    const std::vector<Packet> load = burst(shape.topology, packets, 11);
-    for (const char* name : policies) {
+    const std::size_t packets = shape.packets;
+    const std::vector<Packet> load =
+        burst(shape.topology, packets, 11, shape.hot_share_percent);
+    for (const char* name : shape.policies) {
       const PolicyFactory policy = named_policy(name);
       std::vector<DrainResult> reps;
       reps.reserve(static_cast<std::size_t>(repetitions));

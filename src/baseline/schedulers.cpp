@@ -51,7 +51,9 @@ void MaxWeightScheduler::select(const Engine& engine, Time /*now*/,
   hungarian_.solve(cost_.data(), rows, cols, assignment_);
   for (std::size_t i = 0; i < rows; ++i) {
     const std::size_t cell = i * cols + static_cast<std::size_t>(assignment_[i]);
-    if (cost_[cell] < 0.0 && best_[cell] != kNone) out.push(best_[cell]);
+    if (cost_[cell] < 0.0 && best_[cell] != kNone) {
+      out.push(candidates[best_[cell]].packet);
+    }
   }
 }
 
@@ -129,7 +131,7 @@ void IslipScheduler::select(const Engine& engine, Time /*now*/,
       if (rr == kNone) continue;
       t_matched_[tt] = 1;
       r_matched_[rr] = 1;
-      out.push(request_[tt * kr + rr]);
+      out.push(candidates[request_[tt * kr + rr]].packet);
       any_accept = true;
       if (round == 0) {
         // Pointer update only for first-iteration accepts (classic iSLIP
@@ -182,11 +184,14 @@ void RotorScheduler::select(const Engine& /*engine*/, Time now,
     }
   }
   std::sort(touched_edges_.begin(), touched_edges_.end());
-  for (std::size_t e : touched_edges_) out.push(head_slot_[e]);
+  for (std::size_t e : touched_edges_) out.push(candidates[head_slot_[e]].packet);
 }
 
 void RandomMaximalScheduler::select(const Engine& engine, Time /*now*/,
-                                    const std::vector<Candidate>& candidates, Selection& out) {
+                                    const std::vector<Candidate>& /*heads*/,
+                                    Selection& out) {
+  // One RNG draw per pending chunk: the shuffle needs the full list.
+  const std::vector<Candidate>& candidates = engine.pending_by_priority();
   order_.resize(candidates.size());
   std::iota(order_.begin(), order_.end(), std::size_t{0});
   rng_.shuffle(order_);

@@ -106,76 +106,109 @@ void InvariantAuditor::on_dispatch(const Engine& engine, const Packet& packet,
 }
 
 void InvariantAuditor::on_selection(const Engine& engine,
-                                    const std::vector<Candidate>& candidates,
-                                    const std::vector<std::size_t>& selected) {
+                                    const std::vector<Candidate>& heads,
+                                    const std::vector<PacketIndex>& selected) {
   const Topology& topology = engine.topology();
   ++rounds_;
-  // Two distinct stamps per round, so the candidate-integrity pass and the
-  // selection-distinctness pass below share picked_round_ without clearing.
-  const std::uint64_t round = 2 * rounds_;
-  const std::uint64_t pick_round = 2 * rounds_ + 1;
+  const std::uint64_t round = rounds_;
+  const auto num_edges = static_cast<std::size_t>(topology.num_edges());
   load_t_round_.resize(static_cast<std::size_t>(topology.num_transmitters()), 0);
   load_r_round_.resize(static_cast<std::size_t>(topology.num_receivers()), 0);
-  edge_round_.resize(static_cast<std::size_t>(topology.num_edges()), 0);
+  edge_round_.resize(num_edges, 0);
   load_t_.resize(load_t_round_.size(), 0);
   load_r_.resize(load_r_round_.size(), 0);
+  head_round_.resize(num_edges, 0);
+  priority_head_.resize(num_edges, -1);
+  fifo_head_.resize(num_edges, -1);
 
-  // Candidate-list integrity: sorted by the chunk priority order, one entry
-  // per pending reconfigurable packet, every entry consistent with the
-  // ledger. (picked_round_ doubles as the per-round "seen" stamp.)
-  std::size_t pending = 0;
+  // Each edge's heads, re-derived from the ledger alone: the priority head
+  // is the heaviest chunk (then earliest arrival, then lowest id), the FIFO
+  // head the earliest arrival (then lowest id).
+  const auto heavier = [](PacketIndex a, const Ledger& la, PacketIndex b,
+                          const Ledger& lb) {
+    if (la.chunk_weight != lb.chunk_weight) return la.chunk_weight > lb.chunk_weight;
+    if (la.arrival != lb.arrival) return la.arrival < lb.arrival;
+    return a < b;
+  };
+  const auto earlier = [](PacketIndex a, const Ledger& la, PacketIndex b,
+                          const Ledger& lb) {
+    return la.arrival != lb.arrival ? la.arrival < lb.arrival : a < b;
+  };
   for (const auto& [id, ledger] : ledger_) {
-    (void)id;
-    if (!ledger.use_fixed && ledger.transmitted < ledger.total_chunks) ++pending;
+    if (ledger.use_fixed || ledger.transmitted >= ledger.total_chunks) continue;
+    const auto e = static_cast<std::size_t>(ledger.edge);
+    if (head_round_[e] != round) {
+      head_round_[e] = round;
+      priority_head_[e] = id;
+      fifo_head_[e] = id;
+      continue;
+    }
+    if (heavier(id, ledger, priority_head_[e], ledger_.at(priority_head_[e]))) {
+      priority_head_[e] = id;
+    }
+    if (earlier(id, ledger, fifo_head_[e], ledger_.at(fifo_head_[e]))) fifo_head_[e] = id;
   }
-  if (candidates.size() != pending) {
-    fail(engine, "candidate list has " + std::to_string(candidates.size()) +
-                     " entries but " + std::to_string(pending) + " packets are pending");
+
+  // Edge-head-list integrity: exactly those heads (an entry per distinct
+  // head, so one per edge when the two coincide), strictly sorted -- which
+  // also rules out duplicates -- and each entry agreeing with the ledger.
+  std::size_t expected = 0;
+  for (std::size_t e = 0; e < num_edges; ++e) {
+    if (head_round_[e] == round) expected += priority_head_[e] == fifo_head_[e] ? 1 : 2;
   }
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const Candidate& c = candidates[i];
-    if (i + 1 < candidates.size() && chunk_higher_priority(candidates[i + 1], c)) {
-      fail(engine, "candidate list is not sorted by chunk priority at index " +
+  if (heads.size() != expected) {
+    fail(engine, "edge-head list has " + std::to_string(heads.size()) + " entries but " +
+                     std::to_string(expected) + " edge heads are pending");
+  }
+  for (std::size_t i = 0; i < heads.size(); ++i) {
+    const Candidate& c = heads[i];
+    if (i + 1 < heads.size() && !chunk_higher_priority(c, heads[i + 1])) {
+      fail(engine, "edge-head list is not strictly sorted by chunk priority at index " +
                        std::to_string(i));
     }
-    auto& seen = picked_round_[c.packet];
-    if (seen == round) {
-      fail(engine, "packet " + std::to_string(c.packet) + " appears twice in the "
-                   "candidate list");
-    }
-    seen = round;
-    const Ledger& ledger = entry(engine, c.packet, "candidate list");
+    const Ledger& ledger = entry(engine, c.packet, "edge-head list");
     if (ledger.use_fixed || c.edge != ledger.edge ||
         c.remaining != ledger.total_chunks - ledger.transmitted ||
         c.arrival != ledger.arrival || c.chunk_weight != ledger.chunk_weight) {
-      fail(engine, "candidate for packet " + std::to_string(c.packet) +
+      fail(engine, "edge-head entry for packet " + std::to_string(c.packet) +
                        " disagrees with the dispatch-time ledger");
     }
     const ReconfigEdge& edge = topology.edge(c.edge);
     if (edge.transmitter != c.transmitter || edge.receiver != c.receiver) {
-      fail(engine, "candidate for packet " + std::to_string(c.packet) +
+      fail(engine, "edge-head entry for packet " + std::to_string(c.packet) +
                        " carries endpoints that are not edge " + std::to_string(c.edge));
+    }
+    const auto e = static_cast<std::size_t>(c.edge);
+    if (head_round_[e] != round ||
+        (c.packet != priority_head_[e] && c.packet != fifo_head_[e])) {
+      fail(engine, "packet " + std::to_string(c.packet) +
+                       " is in the edge-head list but heads neither order of edge " +
+                       std::to_string(c.edge));
     }
   }
 
-  // Selection feasibility: a (b-)matching over distinct pending chunks.
+  // Selection feasibility: a (b-)matching over distinct pending packets,
+  // with edges and endpoints taken from the ledger.
   const int capacity = engine.options().endpoint_capacity;
-  for (const std::size_t index : selected) {
-    if (index >= candidates.size()) {
-      fail(engine, "scheduler selected out-of-range candidate index " +
-                       std::to_string(index));
+  for (const PacketIndex packet : selected) {
+    const auto found = ledger_.find(packet);
+    if (found == ledger_.end() || found->second.use_fixed ||
+        found->second.transmitted >= found->second.total_chunks) {
+      fail(engine, "scheduler selected packet " + std::to_string(packet) +
+                       ", which has no pending chunk");
     }
-    const Candidate& c = candidates[index];
-    auto& mark = picked_round_[c.packet];
-    if (mark == pick_round) {
-      fail(engine, "scheduler selected packet " + std::to_string(c.packet) + " twice");
+    auto& mark = picked_round_[packet];
+    if (mark == round) {
+      fail(engine, "scheduler selected packet " + std::to_string(packet) + " twice");
     }
-    mark = pick_round;
-    const auto e = static_cast<std::size_t>(c.edge);
-    const auto t = static_cast<std::size_t>(c.transmitter);
-    const auto r = static_cast<std::size_t>(c.receiver);
+    mark = round;
+    const EdgeIndex edge_index = found->second.edge;
+    const ReconfigEdge& edge = topology.edge(edge_index);
+    const auto e = static_cast<std::size_t>(edge_index);
+    const auto t = static_cast<std::size_t>(edge.transmitter);
+    const auto r = static_cast<std::size_t>(edge.receiver);
     if (edge_round_[e] == round) {
-      fail(engine, "selection uses edge " + std::to_string(c.edge) + " twice");
+      fail(engine, "selection uses edge " + std::to_string(edge_index) + " twice");
     }
     edge_round_[e] = round;
     if (load_t_round_[t] != round) {
@@ -187,32 +220,27 @@ void InvariantAuditor::on_selection(const Engine& engine,
       load_r_[r] = 0;
     }
     if (++load_t_[t] > capacity) {
-      fail(engine, "selection loads transmitter " + std::to_string(c.transmitter) +
+      fail(engine, "selection loads transmitter " + std::to_string(edge.transmitter) +
                        " beyond capacity " + std::to_string(capacity));
     }
     if (++load_r_[r] > capacity) {
-      fail(engine, "selection loads receiver " + std::to_string(c.receiver) +
+      fail(engine, "selection loads receiver " + std::to_string(edge.receiver) +
                        " beyond capacity " + std::to_string(capacity));
-    }
-    if (c.remaining <= 0) {
-      fail(engine, "selection transmits packet " + std::to_string(c.packet) +
-                       " with no chunks remaining");
     }
   }
 }
 
-void InvariantAuditor::on_round(const Engine& engine, const std::vector<Candidate>& candidates,
-                                const std::vector<std::size_t>& transmitted) {
+void InvariantAuditor::on_round(const Engine& engine,
+                                const std::vector<PacketIndex>& transmitted) {
   const Topology& topology = engine.topology();
-  for (const std::size_t index : transmitted) {
-    const Candidate& c = candidates[index];
-    Ledger& ledger = entry(engine, c.packet, "transmit");
+  for (const PacketIndex packet : transmitted) {
+    Ledger& ledger = entry(engine, packet, "transmit");
     if (ledger.transmitted >= ledger.total_chunks) {
-      fail(engine, "packet " + std::to_string(c.packet) + " transmitted more chunks than "
+      fail(engine, "packet " + std::to_string(packet) + " transmitted more chunks than "
                    "its route delay");
     }
     if (engine.now() < ledger.arrival) {
-      fail(engine, "packet " + std::to_string(c.packet) + " transmitted before arrival");
+      fail(engine, "packet " + std::to_string(packet) + " transmitted before arrival");
     }
     ++ledger.transmitted;
     ledger.transmit_steps.push_back(engine.now());
@@ -324,17 +352,16 @@ void InvariantAuditor::on_requeue(const Engine& engine, PacketIndex packet) {
 }
 
 void InvariantAuditor::on_step_end(const Engine& engine) {
-  // The scheduling rounds merged every staged dispatch, so the engine's
-  // candidate list must now cover exactly the ledger's pending packets --
-  // catching candidates silently dropped without retirement (the hook
-  // above only fires when the list is nonempty).
+  // The engine's pending store must cover exactly the ledger's pending
+  // packets -- catching packets silently dropped without retirement (the
+  // hook above only fires when something is pending).
   std::size_t pending = 0;
   for (const auto& [id, ledger] : ledger_) {
     (void)id;
     if (!ledger.use_fixed && ledger.transmitted < ledger.total_chunks) ++pending;
   }
   if (engine.pending_candidates().size() != pending) {
-    fail(engine, "pending candidate list has " +
+    fail(engine, "pending store has " +
                      std::to_string(engine.pending_candidates().size()) + " entries but " +
                      std::to_string(pending) + " packets are pending");
   }

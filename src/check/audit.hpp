@@ -8,13 +8,14 @@
 // that ledger it re-derives, every step:
 //
 //  * selection feasibility -- the scheduler's pick is a (b-)matching:
-//    indices valid and distinct, no edge twice, per-endpoint load within
-//    EngineOptions::endpoint_capacity, every selected chunk genuinely
-//    pending;
-//  * candidate-list integrity -- the engine's incrementally maintained
-//    pending list is sorted by chunk_higher_priority, contains every
-//    pending reconfigurable packet exactly once, and each entry's
-//    (edge, chunk weight, arrival, remaining) agrees with the ledger;
+//    packets distinct and genuinely pending, no edge twice, per-endpoint
+//    load within EngineOptions::endpoint_capacity;
+//  * edge-head-list integrity -- the list handed to select() holds
+//    exactly, for every edge with pending packets, the edge's priority
+//    head and its FIFO head (both re-derived from the ledger, not read
+//    from the engine's store), sorted strictly by chunk_higher_priority,
+//    each entry's (edge, endpoints, chunk weight, arrival, remaining)
+//    agreeing with the ledger;
 //  * conservation -- packets dispatched == in flight + retired + dropped,
 //    and the engine's in-flight count matches the ledger size;
 //  * monotone clocks -- the step clock strictly increases, transmissions
@@ -45,10 +46,10 @@ class InvariantAuditor final : public EngineObserver {
   void on_step_begin(const Engine& engine, Time previous_now) override;
   void on_dispatch(const Engine& engine, const Packet& packet,
                    const RouteDecision& route) override;
-  void on_selection(const Engine& engine, const std::vector<Candidate>& candidates,
-                    const std::vector<std::size_t>& selected) override;
-  void on_round(const Engine& engine, const std::vector<Candidate>& candidates,
-                const std::vector<std::size_t>& transmitted) override;
+  void on_selection(const Engine& engine, const std::vector<Candidate>& heads,
+                    const std::vector<PacketIndex>& selected) override;
+  void on_round(const Engine& engine,
+                const std::vector<PacketIndex>& transmitted) override;
   void on_retire(const Engine& engine, PacketIndex packet,
                  const PacketOutcome& outcome) override;
   void on_drop(const Engine& engine, PacketIndex packet,
@@ -87,14 +88,16 @@ class InvariantAuditor final : public EngineObserver {
   std::uint64_t rounds_ = 0;
   bool clock_started_ = false;
 
-  /// Round-scratch for the matching recount, stamped per round so nothing
-  /// is re-zeroed (mirrors the engine's trick, but entirely separate
-  /// state). picked_round_ carries two stamps per round -- one for the
-  /// candidate-integrity pass, one for selection distinctness -- and is
-  /// pruned at retirement so it stays O(in-flight) like the ledger.
+  /// Round-scratch for the matching recount and the per-edge head
+  /// derivation, stamped per round so nothing is re-zeroed (mirrors the
+  /// engine's trick, but entirely separate state). picked_round_ stamps
+  /// selection distinctness and is pruned at retirement so it stays
+  /// O(in-flight) like the ledger.
   std::vector<std::uint64_t> load_t_round_, load_r_round_, edge_round_;
   std::vector<int> load_t_, load_r_;
   std::unordered_map<PacketIndex, std::uint64_t> picked_round_;
+  std::vector<std::uint64_t> head_round_;  ///< per edge: heads below valid iff == round
+  std::vector<PacketIndex> priority_head_, fifo_head_;
 };
 
 }  // namespace rdcn::check

@@ -44,9 +44,11 @@ RouteDecision ImpactDispatcher::dispatch(const Engine& engine, const Packet& pac
 void StableMatchingScheduler::select(const Engine& engine, Time /*now*/,
                                      const std::vector<Candidate>& candidates,
                                      Selection& out) {
-  // The engine hands candidates in the paper's priority order (see
+  // The engine hands the edge heads in the paper's priority order (see
   // SchedulePolicy::select), so the greedy stable matching of Section
-  // III-C is a single scan: accept whenever both endpoints are free.
+  // III-C is a single scan: accept whenever both endpoints are free. A
+  // non-head chunk is always blocked by its edge's head, so scanning the
+  // heads alone picks the same matching as scanning every pending chunk.
   const auto num_t = static_cast<std::size_t>(engine.topology().num_transmitters());
   const auto num_r = static_cast<std::size_t>(engine.topology().num_receivers());
 
@@ -62,7 +64,7 @@ void StableMatchingScheduler::select(const Engine& engine, Time /*now*/,
       if (t_taken == serial_ || r_taken == serial_) continue;
       t_taken = serial_;
       r_taken = serial_;
-      out.push(i);
+      out.push(c.packet);
       if (out.size() == limit) break;  // every further chunk is blocked
     }
     return;
@@ -97,7 +99,7 @@ void StableMatchingScheduler::select(const Engine& engine, Time /*now*/,
     ++t_load_[t];
     ++r_load_[r];
     edge_used_stamp_[e] = serial_;
-    out.push(i);
+    out.push(c.packet);
   }
 }
 

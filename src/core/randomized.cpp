@@ -7,8 +7,10 @@
 namespace rdcn {
 
 void PerturbedStableScheduler::select(const Engine& engine, Time /*now*/,
-                                      const std::vector<Candidate>& candidates,
+                                      const std::vector<Candidate>& /*heads*/,
                                       Selection& out) {
+  // One noise draw per pending chunk: the perturbation needs the full list.
+  const std::vector<Candidate>& candidates = engine.pending_by_priority();
   // Log-normal multiplicative noise keeps weights positive and preserves
   // large weight gaps while shuffling near-ties.
   noisy_.resize(candidates.size());
@@ -32,8 +34,9 @@ void PerturbedStableScheduler::select(const Engine& engine, Time /*now*/,
 }
 
 void RandomSerialDictatorScheduler::select(const Engine& engine, Time /*now*/,
-                                           const std::vector<Candidate>& candidates,
+                                           const std::vector<Candidate>& /*heads*/,
                                            Selection& out) {
+  const std::vector<Candidate>& candidates = engine.pending_by_priority();
   order_.resize(candidates.size());
   std::iota(order_.begin(), order_.end(), std::size_t{0});
   rng_.shuffle(order_);

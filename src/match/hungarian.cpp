@@ -28,6 +28,11 @@ void HungarianWorkspace::solve(const double* cost, std::size_t rows, std::size_t
   v_.assign(cols + 1, 0.0);
   p_.assign(cols + 1, 0);
   way_.assign(cols + 1, 0);
+  // The augmenting-path lists hold at most every column (plus the root);
+  // sizing them to that bound up front keeps a later, longer path than any
+  // seen so far from growing them mid-run.
+  free_cols_.reserve(cols);
+  used_cols_.reserve(cols + 1);
   if (rows == cols) {
     // Column reduction is only dual-feasible when every column ends up
     // matched (complementary slackness needs v == 0 on unmatched columns),

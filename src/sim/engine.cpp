@@ -1,10 +1,41 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 namespace rdcn {
+
+namespace {
+
+/// chunk_higher_priority as a function object, so sorts and searches
+/// inline the comparison instead of calling through a function pointer.
+constexpr auto kByPriority = [](const Candidate& a, const Candidate& b) {
+  return chunk_higher_priority(a, b);
+};
+
+/// Sorts `added` by chunk priority and merges it into the priority-sorted
+/// `list` in place, back to front: each added entry finds its slot by
+/// binary search and the entries behind it move as one block, so entries
+/// ahead of the first insertion point never move. Clears `added`.
+// rdcn-lint: hot
+void merge_into(std::vector<Candidate>& list, std::vector<Candidate>& added) {
+  std::sort(added.begin(), added.end(), kByPriority);
+  auto kept = static_cast<std::ptrdiff_t>(list.size());
+  list.resize(list.size() + added.size());
+  const auto begin = list.begin();
+  for (auto j = static_cast<std::ptrdiff_t>(added.size()); j-- > 0;) {
+    const Candidate& entry = added[static_cast<std::size_t>(j)];
+    const auto pos = std::lower_bound(begin, begin + kept, entry, kByPriority) - begin;
+    std::move_backward(begin + pos, begin + kept, begin + kept + j + 1);
+    *(begin + pos + j) = entry;
+    kept = pos;
+  }
+  added.clear();
+}
+
+}  // namespace
 
 Engine::Engine(const Instance& instance, DispatchPolicy& dispatcher,
                SchedulePolicy& scheduler, EngineOptions options)
@@ -14,7 +45,7 @@ Engine::Engine(const Instance& instance, DispatchPolicy& dispatcher,
       scheduler_(&scheduler) {
   const std::string error = instance.validate();
   if (!error.empty()) throw std::invalid_argument("invalid instance: " + error);
-  init(options);
+  init(options, instance.num_packets());
   if (options_.max_steps == 0) {
     options_.max_steps = default_max_steps(instance, options_.reconfig_delay);
   }
@@ -26,18 +57,12 @@ Engine::Engine(const Instance& instance, DispatchPolicy& dispatcher,
   chunk_weight_.reserve(n);
   assigned_transmitter_.reserve(n);
   outcomes_.reserve(n);
-  queue_pos_transmitter_.reserve(n);
-  queue_pos_receiver_.reserve(n);
+  store_.reserve(n);
   impact_index_.reserve_pending(n);
   result_.outcomes.resize(n);
   sink_ = [this](RetiredPacket&& retired) {
     result_.outcomes[static_cast<std::size_t>(retired.id)] = std::move(retired.outcome);
   };
-  // Seed the per-endpoint pending queues: their incremental growth during
-  // the run otherwise accounts for most of the run loop's allocations.
-  const std::size_t queue_seed = std::min<std::size_t>(n, 16);
-  for (auto& queue : pending_by_transmitter_) queue.reserve(queue_seed);
-  for (auto& queue : pending_by_receiver_) queue.reserve(queue_seed);
 }
 
 Engine::Engine(const Topology& topology, DispatchPolicy& dispatcher,
@@ -55,10 +80,10 @@ Engine::Engine(const Topology& topology, DispatchPolicy& dispatcher,
   if (options.redispatch_queued) {
     throw std::invalid_argument("queued redispatch requires batch mode");
   }
-  init(options);
+  init(options, std::numeric_limits<std::size_t>::max());  // no bound known
 }
 
-void Engine::init(EngineOptions options) {
+void Engine::init(EngineOptions options, std::size_t max_pending) {
   options_ = options;
   if (options_.speedup_rounds < 1) throw std::invalid_argument("speedup_rounds must be >= 1");
   if (options_.endpoint_capacity < 1) {
@@ -77,8 +102,7 @@ void Engine::init(EngineOptions options) {
   }
   const auto num_t = static_cast<std::size_t>(topology_->num_transmitters());
   const auto num_r = static_cast<std::size_t>(topology_->num_receivers());
-  pending_by_transmitter_.resize(num_t);
-  pending_by_receiver_.resize(num_r);
+  store_.attach(*topology_);
   transmitter_config_.resize(num_t);
   receiver_config_.resize(num_r);
   edge_used_round_.assign(static_cast<std::size_t>(topology_->num_edges()), 0);
@@ -93,6 +117,14 @@ void Engine::init(EngineOptions options) {
   impact_index_.attach(*topology_);
   const auto num_edges = static_cast<std::size_t>(topology_->num_edges());
   edge_alive_.assign(num_edges, 1);
+  // The edge-head list holds at most two entries per edge that carries a
+  // pending packet; sizing its buffers here keeps every refresh off the heap.
+  const std::size_t busy_edges = std::min(num_edges, max_pending);
+  edge_dirty_.assign(num_edges, 0);
+  dirty_edges_.reserve(busy_edges);
+  heads_.reserve(2 * busy_edges);
+  spare_heads_.reserve(2 * busy_edges);
+  fresh_heads_.reserve(2 * busy_edges);
   edge_meta_.resize(num_edges);
   for (std::size_t i = 0; i < num_edges; ++i) {
     const ReconfigEdge& edge = topology_->edge(static_cast<EdgeIndex>(i));
@@ -105,13 +137,17 @@ void Engine::init(EngineOptions options) {
     meta.delay = d;
     meta.attach_tail = topology_->transmitter_attach_delay(edge.transmitter) +
                        topology_->receiver_attach_delay(edge.receiver);
+    meta.transmitter = edge.transmitter;
+    meta.receiver = edge.receiver;
   }
   // A selection is a (b-)matching, so its size is bounded a priori; sizing
   // the round-loop scratch here keeps even the first rounds off the heap.
   const std::size_t matching_bound =
       std::min(num_t, num_r) * static_cast<std::size_t>(options_.endpoint_capacity);
-  selection_.mutable_indices().reserve(matching_bound);
+  selection_.mutable_packets().reserve(matching_bound);
   finished_scratch_.reserve(matching_bound);
+  // A trace records every pending packet per step, in priority order.
+  by_priority_live_ = options_.record_trace;
   if (options_.audit) auditor_ = make_invariant_auditor();
   if (options_.probe.enabled) {
     probe_store_ = std::make_unique<Probe>(options_.probe);
@@ -134,8 +170,7 @@ void Engine::append_slot(const Packet& packet) {
   chunk_weight_.push_back(0.0);
   assigned_transmitter_.push_back(-1);
   outcomes_.emplace_back();
-  queue_pos_transmitter_.push_back(-1);
-  queue_pos_receiver_.push_back(-1);
+  store_.append_slot();
   peak_resident_ = std::max(peak_resident_, state_.size());
   ++in_flight_;
   ++dispatched_count_;
@@ -176,9 +211,7 @@ void Engine::compact_window() {
   assigned_transmitter_.erase(assigned_transmitter_.begin(),
                               assigned_transmitter_.begin() + n);
   outcomes_.erase(outcomes_.begin(), outcomes_.begin() + n);
-  queue_pos_transmitter_.erase(queue_pos_transmitter_.begin(),
-                               queue_pos_transmitter_.begin() + n);
-  queue_pos_receiver_.erase(queue_pos_receiver_.begin(), queue_pos_receiver_.begin() + n);
+  store_.erase_prefix(front_retired_);
   window_base_ += static_cast<PacketIndex>(front_retired_);
   front_retired_ = 0;
 }
@@ -226,47 +259,149 @@ void Engine::apply_route(const Packet& packet, const RouteDecision& route) {
     chunk_weight = packet.weight / static_cast<double>(edge.delay);
     assigned_transmitter_[s] = edge.transmitter;
 
-    auto& t_queue = pending_by_transmitter_[static_cast<std::size_t>(edge.transmitter)];
-    auto& r_queue = pending_by_receiver_[static_cast<std::size_t>(edge.receiver)];
-    queue_pos_transmitter_[s] = static_cast<std::int32_t>(t_queue.size());
-    queue_pos_receiver_[s] = static_cast<std::int32_t>(r_queue.size());
-    t_queue.push_back(packet.id);  // rdcn-lint: allow(hot-alloc) -- pending_by_* seeded in init
-    r_queue.push_back(packet.id);  // rdcn-lint: allow(hot-alloc) -- pending_by_* seeded in init
+    list_pending(packet.id, route.edge);
     impact_index_.add_chunks(edge.transmitter, edge.receiver, route.edge, chunk_weight,
                              remaining);
-
-    Candidate candidate;
-    candidate.packet = packet.id;
-    candidate.edge = route.edge;
-    candidate.transmitter = edge.transmitter;
-    candidate.receiver = edge.receiver;
-    candidate.chunk_weight = chunk_weight;
-    candidate.arrival = packet.arrival;
-    candidate.remaining = remaining;
-    staged_.push_back(candidate);  // rdcn-lint: allow(hot-alloc) -- settles at high-water capacity (see merge)
-
     outcome.chunk_transmit_steps.reserve(static_cast<std::size_t>(edge.delay));
   }
 }
 
 // rdcn-lint: hot
-void Engine::merge_staged_candidates() {
-  if (staged_.empty()) return;
-  Probe::Span span(probe_, Phase::MergeCompact);
-  if (probe_) probe_->count(Counter::CandidatesMerged, staged_.size());
-  std::sort(staged_.begin(), staged_.end(), chunk_higher_priority);
-  if (candidates_.empty()) {
-    candidates_.swap(staged_);
-  } else {
-    // One linear pass into a reusable buffer: both vectors settle at the
-    // high-water capacity and the merge stops allocating.
-    merge_scratch_.clear();
-    merge_scratch_.reserve(candidates_.size() + staged_.size());
-    std::merge(candidates_.begin(), candidates_.end(), staged_.begin(), staged_.end(),
-               std::back_inserter(merge_scratch_), chunk_higher_priority);
-    candidates_.swap(merge_scratch_);
-    staged_.clear();
+Candidate Engine::candidate_of(PacketIndex packet) const {
+  const std::size_t s = slot(packet);
+  const EdgeIndex e = state_[s].route.edge;
+  const EdgeMeta& meta = edge_meta_[static_cast<std::size_t>(e)];
+  Candidate c;
+  c.packet = packet;
+  c.edge = e;
+  c.transmitter = meta.transmitter;
+  c.receiver = meta.receiver;
+  c.chunk_weight = chunk_weight_[s];
+  c.arrival = state_[s].arrival;
+  c.remaining = remaining_[s];
+  return c;
+}
+
+// rdcn-lint: hot
+bool Engine::higher_priority(PacketIndex a, PacketIndex b) const {
+  const Weight wa = chunk_weight_[slot(a)];
+  const Weight wb = chunk_weight_[slot(b)];
+  if (wa != wb) return wa > wb;
+  const Time aa = state_[slot(a)].arrival;
+  const Time ab = state_[slot(b)].arrival;
+  if (aa != ab) return aa < ab;
+  return a < b;
+}
+
+// rdcn-lint: hot
+bool Engine::is_pending(PacketIndex packet) const {
+  return packet >= window_base_ &&
+         packet < window_base_ + static_cast<PacketIndex>(state_.size()) &&
+         store_.contains(packet);
+}
+
+// rdcn-lint: hot
+void Engine::mark_dirty(EdgeIndex e) {
+  auto& stamp = edge_dirty_[static_cast<std::size_t>(e)];
+  if (stamp == dirty_serial_) return;
+  stamp = dirty_serial_;
+  dirty_edges_.push_back(e);  // rdcn-lint: allow(hot-alloc) -- reserved in init (one entry per edge)
+}
+
+// rdcn-lint: hot
+void Engine::list_pending(PacketIndex packet, EdgeIndex e) {
+  // No span here: a per-packet span would cost more than the O(log n)
+  // listing it times, so listing counts toward the enclosing Dispatch.
+  const std::size_t s = slot(packet);
+  if (store_.insert(packet, e, chunk_weight_[s], state_[s].arrival)) mark_dirty(e);
+  if (by_priority_live_) {
+    by_priority_staged_.push_back(candidate_of(packet));  // rdcn-lint: allow(hot-alloc) -- settles at high-water capacity (see merge)
   }
+}
+
+// rdcn-lint: hot
+void Engine::refresh_heads() {
+  // Every listed head re-reads its `remaining`: one load per entry is
+  // cheaper than finding the entries of the heads served last round.
+  const std::int64_t* const left = remaining_.data();
+  const PacketIndex base = window_base_;
+  if (dirty_edges_.empty()) {
+    for (Candidate& c : heads_) c.remaining = left[c.packet - base];
+    return;
+  }
+  Probe::Span span(probe_, Phase::MergeCompact);
+  fresh_heads_.clear();
+  for (const EdgeIndex e : dirty_edges_) store_.append_heads(e, fresh_heads_);
+  for (Candidate& c : fresh_heads_) c.remaining = left[c.packet - base];
+  std::sort(fresh_heads_.begin(), fresh_heads_.end(), kByPriority);
+  if (probe_) probe_->count(Counter::CandidatesMerged, fresh_heads_.size());
+  // One pass into the spare buffer drops the entries of edges whose heads
+  // changed and merges in their current heads: O(edges) per round, however
+  // deep the queues are. The result holds at most two entries per busy
+  // edge, which init reserved; the spare buffer still holds the list
+  // before last, so resizing it constructs only the difference.
+  spare_heads_.resize(std::min(heads_.size() + fresh_heads_.size(),  // rdcn-lint: allow(hot-alloc) -- within the capacity reserved in init
+                               spare_heads_.capacity()));
+  // Locals, not members: the stores through `out` could alias them.
+  const std::uint64_t* const dirty = edge_dirty_.data();
+  const std::uint64_t serial = dirty_serial_;
+  Candidate* out = spare_heads_.data();
+  auto fresh = fresh_heads_.cbegin();
+  const auto fresh_end = fresh_heads_.cend();
+  for (const Candidate& c : heads_) {
+    if (dirty[static_cast<std::size_t>(c.edge)] == serial) continue;
+    for (; fresh != fresh_end && chunk_higher_priority(*fresh, c); ++fresh) *out++ = *fresh;
+    *out = c;
+    (out++)->remaining = left[c.packet - base];
+  }
+  out = std::copy(fresh, fresh_end, out);
+  spare_heads_.resize(static_cast<std::size_t>(out - spare_heads_.data()));
+  heads_.swap(spare_heads_);
+  dirty_edges_.clear();
+  ++dirty_serial_;
+}
+
+// rdcn-lint: hot
+const std::vector<Candidate>& Engine::pending_by_priority() const {
+  if (!by_priority_live_) {
+    by_priority_.clear();
+    by_priority_.reserve(store_.size());
+    store_.for_each([this](PacketIndex p) { by_priority_.push_back(candidate_of(p)); });
+    std::sort(by_priority_.begin(), by_priority_.end(), kByPriority);
+    by_priority_staged_.clear();
+    by_priority_live_ = true;
+  }
+  merge_by_priority();
+  return by_priority_;
+}
+
+// rdcn-lint: hot
+void Engine::merge_by_priority() const {
+  if (by_priority_staged_.empty()) return;
+  Probe::Span span(probe_, Phase::MergeCompact);
+  merge_into(by_priority_, by_priority_staged_);
+}
+
+// rdcn-lint: hot
+Candidate& Engine::listed_entry(std::vector<Candidate>& list, PacketIndex packet) const {
+  // The priority key is immutable, so the entry is found by binary search.
+  const Candidate key = candidate_of(packet);
+  const auto it = std::lower_bound(list.begin(), list.end(), key, kByPriority);
+  if (it == list.end() || it->packet != packet) {
+    throw std::logic_error("engine: packet is missing from a priority-sorted list");
+  }
+  return *it;
+}
+
+void Engine::rebuild_impact_weights(ImpactIndex& index) const {
+  index.begin_rebuild();
+  store_.for_each([this, &index](PacketIndex p) {
+    const std::size_t s = slot(p);
+    const EdgeIndex e = state_[s].route.edge;
+    const EdgeMeta& meta = edge_meta_[static_cast<std::size_t>(e)];
+    index.rebuild_add(meta.transmitter, meta.receiver, e, chunk_weight_[s],
+                      remaining_[s]);
+  });
 }
 
 // rdcn-lint: hot
@@ -276,7 +411,7 @@ ImpactSplit Engine::impact_split(EdgeIndex e, double threshold) const {
   // counter work they measure. Nests under Dispatch (or Select).
   Probe::Span span(probe_, Phase::IndexMaintenance);
   if (probe_) probe_->count(Counter::ImpactQueries);
-  if (!impact_index_.weight_ready()) impact_index_.rebuild(candidates_, staged_);
+  if (!impact_index_.weight_ready()) rebuild_impact_weights(impact_index_);
   return impact_index_.edge_split(e, threshold);
 }
 
@@ -287,7 +422,7 @@ const ActiveEndpoints& Engine::active_endpoints(
   // (benches driving select() directly) rebuilds every call. Rank entries
   // of endpoints absent from `candidates` are left stale on purpose --
   // consumers may only look up endpoints of the candidates themselves.
-  const bool own = &candidates == &candidates_;
+  const bool own = &candidates == &heads_;
   if (own && active_serial_ == select_serial_ && select_serial_ != 0) return active_;
   active_.transmitters.clear();
   active_.receivers.clear();
@@ -344,44 +479,21 @@ void Engine::admit(const Packet& packet) {
 }
 
 // rdcn-lint: hot
-void Engine::erase_from_queue(std::vector<PacketIndex>& queue,
-                              std::vector<std::int32_t>& position, PacketIndex packet) {
-  // Swap-remove: every queue consumer (impact_of, JSQ load, membership
-  // checks) aggregates order-independently, so O(1) removal beats keeping
-  // dispatch order and shifting the tail on every retirement.
-  const auto index = static_cast<std::size_t>(position[slot(packet)]);
-  position[slot(packet)] = -1;
-  if (index + 1 != queue.size()) {
-    queue[index] = queue.back();
-    position[slot(queue[index])] = static_cast<std::int32_t>(index);
-  }
-  queue.pop_back();
-}
-
-// rdcn-lint: hot
 void Engine::unlist_pending(PacketIndex packet) {
-  const auto& ps = state_[slot(packet)];
-  const ReconfigEdge& edge = topology_->edge(ps.route.edge);
-
-  // The priority key (chunk_weight, arrival, id) is immutable, so the
-  // candidate's slot is found by binary search instead of a full scan.
-  Candidate key;
-  key.packet = packet;
-  key.chunk_weight = chunk_weight_[slot(packet)];
-  key.arrival = ps.arrival;
-  const auto it =
-      std::lower_bound(candidates_.begin(), candidates_.end(), key, chunk_higher_priority);
-  if (it == candidates_.end() || it->packet != packet) {
-    throw std::logic_error("unlist_pending: packet is not pending");
+  const std::size_t s = slot(packet);
+  const EdgeIndex e = state_[s].route.edge;
+  {
+    Probe::Span span(probe_, Phase::MergeCompact);
+    if (store_.erase(packet)) mark_dirty(e);
+    if (by_priority_live_) {
+      merge_by_priority();
+      const Candidate& entry = listed_entry(by_priority_, packet);
+      by_priority_.erase(by_priority_.begin() + (&entry - by_priority_.data()));
+    }
   }
-  candidates_.erase(it);
-
-  erase_from_queue(pending_by_transmitter_[static_cast<std::size_t>(edge.transmitter)],
-                   queue_pos_transmitter_, packet);
-  erase_from_queue(pending_by_receiver_[static_cast<std::size_t>(edge.receiver)],
-                   queue_pos_receiver_, packet);
-  impact_index_.add_chunks(edge.transmitter, edge.receiver, ps.route.edge,
-                           chunk_weight_[slot(packet)], -remaining_[slot(packet)]);
+  const EdgeMeta& meta = edge_meta_[static_cast<std::size_t>(e)];
+  impact_index_.add_chunks(meta.transmitter, meta.receiver, e, chunk_weight_[s],
+                           -remaining_[s]);
 }
 
 void Engine::drop_packet(PacketIndex packet) {
@@ -424,7 +536,6 @@ MutationStats Engine::apply_mutation(const StageMutation& mutation) {
         "stage mutations are incompatible with record_trace / redispatch_queued");
   }
   MutationStats stats;
-  merge_staged_candidates();  // unlist_pending needs the merged list
 
   const auto num_edges = static_cast<std::size_t>(topology_->num_edges());
   const auto valid_rack = [&](NodeIndex r) {
@@ -472,15 +583,15 @@ MutationStats Engine::apply_mutation(const StageMutation& mutation) {
 
   // In-flight packets stranded on freshly-killed edges, in (arrival, id)
   // order so requeue re-dispatch is deterministic and arrival-fair.
-  // Edges dead before this call carry no candidates, so scanning for any
-  // dead edge finds exactly the newly stranded set.
+  // Edges dead before this call carry no pending packets, so scanning for
+  // any dead edge finds exactly the newly stranded set.
   if (stats.edges_killed != 0) {
     mutation_scratch_.clear();
-    for (const Candidate& c : candidates_) {
-      if (!edge_alive_[static_cast<std::size_t>(c.edge)]) {
-        mutation_scratch_.push_back(c.packet);
+    store_.for_each([this](PacketIndex p) {
+      if (!edge_alive_[static_cast<std::size_t>(store_.edge_of(p))]) {
+        mutation_scratch_.push_back(p);
       }
-    }
+    });
     sort_by_arrival(mutation_scratch_);
     for (PacketIndex p : mutation_scratch_) {
       const std::size_t s = slot(p);
@@ -499,7 +610,6 @@ MutationStats Engine::apply_mutation(const StageMutation& mutation) {
         ++stats.packets_dropped;
       }
     }
-    merge_staged_candidates();
   }
 
   if (mutation.speedup_rounds != 0) {
@@ -522,7 +632,7 @@ MutationStats Engine::apply_mutation(const StageMutation& mutation) {
     const auto num_r = static_cast<std::size_t>(topology_->num_receivers());
     const std::size_t matching_bound =
         std::min(num_t, num_r) * static_cast<std::size_t>(options_.endpoint_capacity);
-    selection_.mutable_indices().reserve(matching_bound);
+    selection_.mutable_packets().reserve(matching_bound);
     finished_scratch_.reserve(matching_bound);
   }
 
@@ -532,16 +642,17 @@ MutationStats Engine::apply_mutation(const StageMutation& mutation) {
 }
 
 void Engine::crosscheck_impact_index() {
-  // Rebuild the index from the candidate list alone and require bitwise
+  // Rebuild the index from the pending store alone and require bitwise
   // agreement: integer loads always, treap splits when the live index has
   // its weight structures up (canonical hash-priority shape makes the
   // incremental and rebuilt treaps structurally identical). Mutations are
   // cold, so the O(n log n) rebuild is free at steady state.
   ImpactIndex fresh;
   fresh.attach(*topology_);
-  for (const Candidate& c : candidates_) {
+  store_.for_each([this, &fresh](PacketIndex p) {
+    const Candidate c = candidate_of(p);
     fresh.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight, c.remaining);
-  }
+  });
   const auto num_edges = static_cast<std::size_t>(topology_->num_edges());
   for (std::size_t i = 0; i < num_edges; ++i) {
     const auto e = static_cast<EdgeIndex>(i);
@@ -551,33 +662,35 @@ void Engine::crosscheck_impact_index() {
     }
   }
   if (impact_index_.weight_ready()) {
-    fresh.rebuild(candidates_, staged_);
-    for (const Candidate& c : candidates_) {
-      const ImpactSplit live = impact_index_.edge_split(c.edge, c.chunk_weight);
-      const ImpactSplit ref = fresh.edge_split(c.edge, c.chunk_weight);
+    rebuild_impact_weights(fresh);
+    store_.for_each([this, &fresh](PacketIndex p) {
+      const EdgeIndex e = store_.edge_of(p);
+      const double w = chunk_weight_[slot(p)];
+      const ImpactSplit live = impact_index_.edge_split(e, w);
+      const ImpactSplit ref = fresh.edge_split(e, w);
       if (live.heavier != ref.heavier || live.lighter_weight != ref.lighter_weight) {
         throw std::logic_error(
             "apply_mutation: impact index weight split diverged from rebuild");
       }
-    }
+    });
   }
 }
 
 void Engine::redispatch_queued_packets() {
-  merge_staged_candidates();
   // Packets with every chunk still untransmitted may change route; they
   // are re-offered to the dispatcher in arrival order, each temporarily
   // removed so it does not see itself as queue pressure.
   std::vector<PacketIndex> queued;
-  for (const Candidate& c : candidates_) {
-    if (c.remaining == topology_->edge(c.edge).delay) queued.push_back(c.packet);
-  }
+  store_.for_each([this, &queued](PacketIndex p) {
+    if (remaining_[slot(p)] == topology_->edge(store_.edge_of(p)).delay) {
+      queued.push_back(p);
+    }
+  });
   sort_by_arrival(queued);
   for (PacketIndex p : queued) {
     unlist_pending(p);
     redispatch(p);
   }
-  merge_staged_candidates();
 }
 
 void Engine::sort_by_arrival(std::vector<PacketIndex>& packets) const {
@@ -597,15 +710,16 @@ void Engine::redispatch(PacketIndex packet) {
 
 // rdcn-lint: hot
 std::size_t Engine::schedule_round(bool record) {
-  merge_staged_candidates();
-  if (candidates_.empty()) {
+  refresh_heads();
+  if (store_.empty()) {
     if (record) result_.trace.push_back(StepRecord{now_, {}, 0});  // rdcn-lint: allow(hot-alloc) -- record mode only
     return 0;
   }
+  if (by_priority_live_) merge_by_priority();
 
   if (probe_) {
     probe_->count(Counter::Rounds);
-    probe_->gauge(Gauge::PendingCandidates, candidates_.size());
+    probe_->gauge(Gauge::PendingCandidates, store_.size());
     probe_->gauge(Gauge::InFlight, in_flight_);
     probe_->gauge(Gauge::TreapNodes, impact_index_.live_weight_nodes());
     probe_->set(Counter::IndexRebuilds, impact_index_.rebuilds());
@@ -615,9 +729,9 @@ std::size_t Engine::schedule_round(bool record) {
   selection_.clear();
   {
     Probe::Span span(probe_, Phase::Select);
-    scheduler_->select(*this, now_, candidates_, selection_);
+    scheduler_->select(*this, now_, heads_, selection_);
   }
-  const std::vector<std::size_t>& selected = selection_.indices();
+  const std::vector<PacketIndex>& selected = selection_.packets();
   if (probe_ && active_serial_ == select_serial_) {
     // The policy built the active-endpoint map this round; sample it.
     probe_->gauge(Gauge::ActiveTransmitters, active_.transmitters.size());
@@ -626,26 +740,24 @@ std::size_t Engine::schedule_round(bool record) {
 
   // The auditor validates first (independently), so a contract violation
   // under audit surfaces as AuditFailure, not as the engine's logic_error.
-  if (auditor_) auditor_->on_selection(*this, candidates_, selected);
+  if (auditor_) auditor_->on_selection(*this, heads_, selected);
 
-  // Validate the selection is a (b-)matching: per-endpoint load within
-  // capacity, each edge used at most once. Scratch arrays are stamped with
-  // the round serial so nothing is re-zeroed per round. owner_* tracks the
+  // Validate the selection is a (b-)matching of pending packets: per-
+  // endpoint load within capacity, each edge used at most once (which also
+  // rejects a packet named twice). Scratch arrays are stamped with the
+  // round serial so nothing is re-zeroed per round. owner_* tracks the
   // single occupant for the trace path (capacity 1 there by construction).
   ++round_serial_;
   const std::uint64_t round = round_serial_;
   {
     Probe::Span validate_span(probe_, Phase::Validate);
-    chosen_round_.resize(std::max(chosen_round_.size(), candidates_.size()), 0);
-    for (std::size_t index : selected) {
-      if (index >= candidates_.size() || chosen_round_[index] == round) {
-        throw std::logic_error("scheduler returned an invalid candidate index");
+    for (const PacketIndex p : selected) {
+      if (!is_pending(p)) {
+        throw std::logic_error("scheduler selected a packet that is not pending");
       }
-      chosen_round_[index] = round;
-      const Candidate& c = candidates_[index];
-      const auto e = static_cast<std::size_t>(c.edge);
-      const auto t = static_cast<std::size_t>(c.transmitter);
-      const auto r = static_cast<std::size_t>(c.receiver);
+      const auto e = static_cast<std::size_t>(state_[slot(p)].route.edge);
+      const auto t = static_cast<std::size_t>(edge_meta_[e].transmitter);
+      const auto r = static_cast<std::size_t>(edge_meta_[e].receiver);
       if (edge_used_round_[e] == round) {
         throw std::logic_error("scheduler selected one edge twice");
       }
@@ -663,8 +775,8 @@ std::size_t Engine::schedule_round(bool record) {
         throw std::logic_error("scheduler selection exceeds endpoint capacity");
       }
       if (record) {
-        owner_t_[t] = c.packet;
-        owner_r_[r] = c.packet;
+        owner_t_[t] = p;
+        owner_r_[r] = p;
       }
     }
 
@@ -675,70 +787,66 @@ std::size_t Engine::schedule_round(bool record) {
       // Filter the selection in place: endpoints not yet tuned to their
       // edge keep their chunk queued and drop out of this round's
       // transmit set.
-      std::vector<std::size_t>& indices = selection_.mutable_indices();
+      std::vector<PacketIndex>& packets = selection_.mutable_packets();
       std::size_t write = 0;
-      for (std::size_t index : indices) {
-        const Candidate& c = candidates_[index];
-        auto& tc = transmitter_config_[static_cast<std::size_t>(c.transmitter)];
-        auto& rc = receiver_config_[static_cast<std::size_t>(c.receiver)];
+      for (const PacketIndex p : packets) {
+        const EdgeIndex e = state_[slot(p)].route.edge;
+        const EdgeMeta& meta = edge_meta_[static_cast<std::size_t>(e)];
+        auto& tc = transmitter_config_[static_cast<std::size_t>(meta.transmitter)];
+        auto& rc = receiver_config_[static_cast<std::size_t>(meta.receiver)];
         bool ready = true;
-        if (tc.target != c.edge) {
-          tc.target = c.edge;
+        if (tc.target != e) {
+          tc.target = e;
           tc.ready = now_ + options_.reconfig_delay;
           ready = false;
         } else if (now_ < tc.ready) {
           ready = false;
         }
-        if (rc.target != c.edge) {
-          rc.target = c.edge;
+        if (rc.target != e) {
+          rc.target = e;
           rc.ready = now_ + options_.reconfig_delay;
           ready = false;
         } else if (now_ < rc.ready) {
           ready = false;
         }
-        if (ready) {
-          indices[write++] = index;
-        } else {
-          chosen_round_[index] = 0;
-        }
+        if (ready) packets[write++] = p;
       }
-      indices.resize(write);
+      packets.resize(write);
     }
   }
 
   if (probe_) probe_->gauge(Gauge::SelectedPerRound, selected.size());
 
-  if (auditor_) auditor_->on_round(*this, candidates_, selected);
+  if (auditor_) auditor_->on_round(*this, selected);
 
-  StepRecord step;
-  step.time = now_;
-  step.matching_size = selected.size();
-  if (record) step.packets.reserve(candidates_.size());
-
-  // Transmit the selected chunks and account their latency. `remaining`
-  // is updated in place on both the packet state and its candidate entry.
-  std::vector<std::size_t>& finished_slots = finished_scratch_;
-  finished_slots.clear();
+  // Transmit the selected chunks and account their latency. Finished
+  // packets leave the store below; the next refresh_heads() re-reads every
+  // listed head's `remaining`.
+  std::vector<Candidate>& finished = finished_scratch_;
+  finished.clear();
   Probe::Span service_span(probe_, Phase::Service);
   if (probe_) probe_->count(Counter::ChunksTransmitted, selected.size());
-  for (std::size_t index : selected) {
-    Candidate& c = candidates_[index];
-    auto& remaining = remaining_[slot(c.packet)];
-    auto& outcome = outcomes_[slot(c.packet)];
-    const Time completion =
-        now_ + 1 + edge_meta_[static_cast<std::size_t>(c.edge)].attach_tail;
+  for (const PacketIndex p : selected) {
+    const std::size_t s = slot(p);
+    const EdgeIndex e = state_[s].route.edge;
+    const EdgeMeta& meta = edge_meta_[static_cast<std::size_t>(e)];
+    auto& remaining = remaining_[s];
+    auto& outcome = outcomes_[s];
+    const Weight chunk_weight = chunk_weight_[s];
+    const Time completion = now_ + 1 + meta.attach_tail;
     outcome.chunk_transmit_steps.push_back(now_);
-    const double latency = c.chunk_weight * static_cast<double>(completion - c.arrival);
+    const Time arrival = state_[s].arrival;
+    const double latency = chunk_weight * static_cast<double>(completion - arrival);
     outcome.weighted_latency += latency;
     result_.reconfig_cost += latency;
     result_.total_cost += latency;
     --remaining;
-    c.remaining = remaining;
-    impact_index_.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight, -1);
+    impact_index_.add_chunks(meta.transmitter, meta.receiver, e, chunk_weight, -1);
     if (remaining == 0) {
       outcome.completion = completion;
       result_.makespan = std::max(result_.makespan, completion);
-      finished_slots.push_back(index);  // rdcn-lint: allow(hot-alloc) -- ref to finished_scratch_, reserved in init
+      finished.push_back(  // rdcn-lint: allow(hot-alloc) -- ref to finished_scratch_, reserved in init
+          Candidate{p, e, meta.transmitter, meta.receiver, chunk_weight, arrival, 0});
     }
   }
 
@@ -746,62 +854,61 @@ std::size_t Engine::schedule_round(bool record) {
     // For every pending packet, note whether it transmitted and otherwise
     // which transmitted packet blocked it (the heaviest conflicting owner;
     // the charging auditor checks the priority relation separately).
-    for (std::size_t i = 0; i < candidates_.size(); ++i) {
-      const Candidate& c = candidates_[i];
+    StepRecord step;
+    step.time = now_;
+    step.matching_size = selected.size();
+    step.packets.reserve(by_priority_.size());
+    for (const Candidate& c : by_priority_) {
+      const auto t = static_cast<std::size_t>(c.transmitter);
+      const auto r = static_cast<std::size_t>(c.receiver);
+      const PacketIndex via_t = load_t_round_[t] == round ? owner_t_[t] : -1;
+      const PacketIndex via_r = load_r_round_[r] == round ? owner_r_[r] : -1;
       StepPacketRecord rec;
       rec.packet = c.packet;
-      rec.transmitted = chosen_round_[i] == round;
+      rec.transmitted = via_t == c.packet;
       if (!rec.transmitted) {
-        const auto t = static_cast<std::size_t>(c.transmitter);
-        const auto r = static_cast<std::size_t>(c.receiver);
-        const PacketIndex via_t = load_t_round_[t] == round ? owner_t_[t] : -1;
-        const PacketIndex via_r = load_r_round_[r] == round ? owner_r_[r] : -1;
-        auto better = [this](PacketIndex a, PacketIndex b) {
-          // Prefer the blocker earlier in the chunk priority order:
-          // heavier chunk first, then earlier arrival, then lower id.
-          if (b == -1) return a;
-          if (a == -1) return b;
-          const Weight wa = chunk_weight_[slot(a)];
-          const Weight wb = chunk_weight_[slot(b)];
-          if (wa != wb) return wa > wb ? a : b;
-          const Time aa = state_[slot(a)].arrival;
-          const Time ab = state_[slot(b)].arrival;
-          if (aa != ab) return aa < ab ? a : b;
-          return a < b ? a : b;
-        };
-        rec.blocker = better(via_t, via_r);
+        // Prefer the blocker earlier in the chunk priority order.
+        rec.blocker = via_t == -1                         ? via_r
+                      : via_r == -1                       ? via_t
+                      : higher_priority(via_r, via_t)     ? via_r
+                                                          : via_t;
       }
       step.packets.push_back(rec);
     }
+    result_.trace.push_back(std::move(step));  // rdcn-lint: allow(hot-alloc) -- record mode only
   }
-  if (record) result_.trace.push_back(std::move(step));  // rdcn-lint: allow(hot-alloc) -- record mode only
 
-  // Drop completed packets: one compaction pass over the candidate tail
-  // plus scan-free removal from the per-endpoint queues, then retirement
-  // out of the per-packet window.
-  if (!finished_slots.empty()) {
-    std::sort(finished_slots.begin(), finished_slots.end());
-    for (std::size_t index : finished_slots) {
-      const Candidate& c = candidates_[index];
-      erase_from_queue(pending_by_transmitter_[static_cast<std::size_t>(c.transmitter)],
-                       queue_pos_transmitter_, c.packet);
-      erase_from_queue(pending_by_receiver_[static_cast<std::size_t>(c.receiver)],
-                       queue_pos_receiver_, c.packet);
-      retire_packet(c.packet);
-    }
-    // Compaction is a MergeCompact child of the surrounding Service span:
-    // self-time accounting keeps the two phases disjoint.
+  // Store maintenance is a MergeCompact child of the surrounding Service
+  // span: self-time accounting keeps the two phases disjoint.
+  if (by_priority_live_) {
+    // One pass over the full list (still before retirement, while every
+    // window slot is valid): refresh `remaining`, drop finished packets.
     Probe::Span compact_span(probe_, Phase::MergeCompact);
-    std::size_t write = finished_slots.front();
-    std::size_t next_finished = 0;
-    for (std::size_t read = write; read < candidates_.size(); ++read) {
-      if (next_finished < finished_slots.size() && read == finished_slots[next_finished]) {
-        ++next_finished;
-        continue;
-      }
-      candidates_[write++] = candidates_[read];
+    const auto end = by_priority_.end();
+    auto read = by_priority_.begin();
+    for (; read != end && remaining_[slot(read->packet)] != 0; ++read) {
+      read->remaining = remaining_[slot(read->packet)];
     }
-    candidates_.resize(write);
+    auto write = read;
+    for (; read != end; ++read) {
+      const std::int64_t left = remaining_[slot(read->packet)];
+      if (left == 0) continue;
+      *write = *read;
+      (write++)->remaining = left;
+    }
+    by_priority_.erase(write, end);
+  }
+  // Unlist completed packets in priority order, then retire them out of the
+  // per-packet window.
+  if (!finished.empty()) {
+    std::sort(finished.begin(), finished.end(), kByPriority);
+    {
+      Probe::Span compact_span(probe_, Phase::MergeCompact);
+      for (const Candidate& c : finished) {
+        if (store_.erase(c.packet)) mark_dirty(c.edge);
+      }
+    }
+    for (const Candidate& c : finished) retire_packet(c.packet);
   }
   return selected.size();
 }
@@ -815,8 +922,7 @@ void Engine::begin_step(const Time* next_arrival) {
     throw CancelledError("run cancelled at step boundary (deadline exceeded)");
   }
   const Time previous = now_;
-  if (candidates_.empty() && staged_.empty() && next_arrival != nullptr &&
-      *next_arrival > now_ + 1) {
+  if (store_.empty() && next_arrival != nullptr && *next_arrival > now_ + 1) {
     now_ = *next_arrival;  // event-driven: jump idle gaps
   } else {
     ++now_;
@@ -833,7 +939,7 @@ void Engine::begin_step(const Time* next_arrival) {
 void Engine::finish_step() {
   if (options_.redispatch_queued) redispatch_queued_packets();
   for (int round = 0; round < options_.speedup_rounds; ++round) {
-    if (candidates_.empty() && staged_.empty() && round > 0) break;
+    if (store_.empty() && round > 0) break;
     schedule_round(options_.record_trace);
   }
   if (auditor_) auditor_->on_step_end(*this);

@@ -31,31 +31,37 @@
 //
 // Hot-path design (the engine is the inner loop of every bench and the
 // ScenarioRunner fan-out):
-//  * the pending-candidate list is maintained incrementally in chunk
-//    priority order -- a packet's (chunk_weight, arrival, id) key never
-//    changes, so candidates are sorted once at dispatch (batch-merged per
-//    step through a reusable merge buffer) and handed to
-//    SchedulePolicy::select without per-step rebuild or re-sort;
+//  * pending chunks live per edge (sim/pending_store.hpp): an intrusive
+//    pairing heap in chunk priority order and a linked list in FIFO order,
+//    over a node pool sized by the backlog. A packet's (chunk_weight,
+//    arrival, id) key never changes, so listing and unlisting cost
+//    O(log n) amortized, and each edge's priority head and FIFO head are
+//    the heap root and the list front;
+//  * a scheduling round reads only heads: SchedulePolicy::select gets the
+//    edge-head list (at most two entries per edge, priority-sorted). Edges
+//    whose heads changed are stamped dirty and re-listed at the next round
+//    in one merging pass over O(edges) entries, never O(backlog), that
+//    also refreshes every listed head's `remaining`. The full priority-ordered
+//    list of every pending chunk exists only for the policies that ask for
+//    it (Engine::pending_by_priority: the randomized schedulers) and for
+//    trace recording, and is then kept incrementally;
 //  * the steady-state round loop performs zero heap allocations: the
 //    scheduler fills an engine-owned Selection scratch in place, the
-//    reconfiguration-delay filter and the completed-candidate compaction
-//    work on reusable buffers, and every registry policy keeps its own
-//    working storage in members (pinned by tests/test_hotpath.cpp);
+//    reconfiguration-delay filter and the head refresh work on reusable
+//    buffers, and every registry policy keeps its own working storage in
+//    members (pinned by tests/test_hotpath.cpp, also at 10k+ pending);
 //  * active-endpoint compression: active_endpoints() exposes a per-round
 //    dense remap of only the transmitters/receivers that currently carry
 //    pending candidates, so matching computations (MaxWeight's Hungarian,
 //    the greedy/iSLIP passes) run over k_active-sized state instead of
 //    topology-sized arrays;
-//  * per-endpoint queues carry index maps, so removing a finished packet
-//    costs the queue tail shift instead of a full scan, and completed
-//    candidates leave the global list in one compaction pass per round;
 //  * dispatch-side queries go through an incremental per-endpoint impact
 //    index (sim/impact_index.hpp): integer chunk-load counters make JSQ's
 //    edge load O(1), and weight-keyed order-statistic treaps answer
 //    impact_of's |H|/w(L) split in O(log n) instead of scanning both
 //    endpoint queues per candidate edge. The engine feeds the index at the
-//    same three lifecycle points that maintain the queues (dispatch,
-//    per-chunk service, unlisting); the weight structures are enabled
+//    same three lifecycle points that maintain the pending store
+//    (dispatch, per-chunk service, unlisting); the weight structures are enabled
 //    lazily by the first impact_split() call and decay during long
 //    non-impact drains, so non-impact policies pay only the O(1) counters;
 //  * per-packet state lives in a sliding window of dense arrays indexed by
@@ -76,6 +82,7 @@
 #include "util/fault.hpp"
 #include "sim/impact_index.hpp"
 #include "sim/observer.hpp"
+#include "sim/pending_store.hpp"
 #include "sim/policy.hpp"
 #include "sim/probe.hpp"
 
@@ -155,10 +162,10 @@ enum class DeadPolicy {
 
 /// One atomic engine/topology mutation. Valid only at a step boundary
 /// (between finish_step() and the next begin_step()): the engine patches
-/// the candidate list, the per-endpoint queues, the impact index and the
-/// affected in-flight packets together, then cross-checks the index
-/// against a rebuild from scratch. Restores apply before kills, so an edge
-/// named by both ends up dead.
+/// the per-edge pending store, the impact index and the affected in-flight
+/// packets together, then cross-checks the index against a rebuild from
+/// scratch. Restores apply before kills, so an edge named by both ends up
+/// dead.
 struct StageMutation {
   std::vector<EdgeIndex> kill_edges;
   std::vector<EdgeIndex> restore_edges;
@@ -210,7 +217,9 @@ using RetireSink = std::function<void(RetiredPacket&&)>;
 /// Dense remap of the endpoints that currently carry pending candidates
 /// (built per scheduling round; see Engine::active_endpoints). Ranks are
 /// assigned in order of first appearance in the priority-sorted candidate
-/// list, so they are deterministic in the engine state.
+/// list, so they are deterministic in the engine state -- and identical for
+/// the edge-head list and the full list: an endpoint first appears at its
+/// highest-priority chunk, which heads its edge.
 struct ActiveEndpoints {
   std::vector<NodeIndex> transmitters;  ///< dense rank -> topology id
   std::vector<NodeIndex> receivers;
@@ -287,8 +296,8 @@ class Engine {
   // --- stage mutations ----------------------------------------------------
 
   /// Applies one mutation atomically at a step boundary (throws between
-  /// begin_step and finish_step). Patches candidates, endpoint queues and
-  /// the impact index together, drops or requeues in-flight packets on
+  /// begin_step and finish_step). Patches the pending store and the
+  /// impact index together, drops or requeues in-flight packets on
   /// dead edges, then cross-checks the index bit-for-bit against a rebuild
   /// from scratch. Both modes.
   MutationStats apply_mutation(const StageMutation& mutation);
@@ -322,7 +331,7 @@ class Engine {
   // therefore reproduces the batch engine's schedule bit-for-bit.
 
   /// True while any chunk is pending on the reconfigurable layer.
-  bool busy() const noexcept { return !candidates_.empty() || !staged_.empty(); }
+  bool busy() const noexcept { return !store_.empty(); }
 
   /// Advances the clock one step -- jumping to *next_arrival when idle --
   /// and counts the step against max_steps. Pass the arrival time of the
@@ -357,27 +366,37 @@ class Engine {
   Time now() const noexcept { return now_; }
 
   /// Packets committed to a reconfigurable edge at transmitter t / receiver
-  /// r that still have untransmitted chunks. Unordered (removal is
-  /// swap-remove): consumers must aggregate order-independently, which
-  /// every dispatcher's accounting does. The dispatch hot paths no longer
-  /// scan these queues (they query the impact index below, whose
-  /// canonical-shape summation is queue-order independent); the queues
-  /// remain the authority for membership and for check/'s naive-scan
-  /// oracle.
+  /// r that still have untransmitted chunks, edge by edge in FIFO order.
+  /// Built from the pending store on request (O(packets there)); the
+  /// reference stays valid until the next call for the same side. The
+  /// dispatch hot paths never scan these (they query the impact index
+  /// below); they are the membership view for check/'s naive-scan oracle.
   const std::vector<PacketIndex>& pending_on_transmitter(NodeIndex t) const {
-    return pending_by_transmitter_.at(static_cast<std::size_t>(t));
+    return store_.on_transmitter(t);
   }
   const std::vector<PacketIndex>& pending_on_receiver(NodeIndex r) const {
-    return pending_by_receiver_.at(static_cast<std::size_t>(r));
+    return store_.on_receiver(r);
   }
 
-  /// All pending reconfigurable-route candidates, in decreasing chunk
-  /// priority -- the exact list SchedulePolicy::select receives. Same-step
-  /// arrivals staged since the last scheduling round are not yet merged.
-  const std::vector<Candidate>& pending_candidates() const noexcept { return candidates_; }
+  /// The per-edge store of pending reconfigurable-route packets (one entry
+  /// per packet; size() is the O(1) total pending count).
+  const PendingStore& pending_candidates() const noexcept { return store_; }
+
+  /// The edge-head list the last scheduling round handed to
+  /// SchedulePolicy::select (see its contract); refreshed at the start of
+  /// every round.
+  const std::vector<Candidate>& edge_heads() const noexcept { return heads_; }
+
+  /// Every pending chunk, in decreasing chunk priority, with current
+  /// `remaining` -- for policies that need the whole backlog (one RNG draw
+  /// per chunk). Built from the store on the first call, then kept up to
+  /// date incrementally (same-step arrivals are merged at the next call or
+  /// round), so only engines whose policy asks for it pay O(pending) per
+  /// round. `mutable` state behind a const view, like the impact index.
+  const std::vector<Candidate>& pending_by_priority() const;
 
   /// Dense remap of the endpoints carrying candidates in `candidates`.
-  /// When called on the engine's own pending list (the normal select()
+  /// When called on the engine's own edge-head list (the normal select()
   /// path) the map is built at most once per scheduling round
   /// (round-stamped); a foreign list -- bench harnesses isolating one
   /// select call -- rebuilds into the same reusable buffers. Either way
@@ -421,6 +440,8 @@ class Engine {
     double base_coeff = 0.0;  ///< d(u) + (d(e) + 1)/2 + d(v)
     double delay = 1.0;       ///< d(e)
     Delay attach_tail = 0;    ///< d(src(t), t) + d(r, dest(r))
+    NodeIndex transmitter = 0;
+    NodeIndex receiver = 0;
   };
   const EdgeMeta& edge_meta(EdgeIndex e) const {
     return edge_meta_[static_cast<std::size_t>(e)];
@@ -440,7 +461,9 @@ class Engine {
     bool retired = false;
   };
 
-  void init(EngineOptions options);
+  /// Shared constructor tail; `max_pending` bounds the packets pending at
+  /// once (the instance size in batch mode) and sizes the head buffers.
+  void init(EngineOptions options, std::size_t max_pending);
   std::size_t slot(PacketIndex p) const {
     return static_cast<std::size_t>(p - window_base_);
   }
@@ -459,13 +482,28 @@ class Engine {
   void admit(const Packet& packet);
   /// Applies a dispatch decision to a packet (enqueue on edge or fixed).
   void apply_route(const Packet& packet, const RouteDecision& route);
-  /// Folds candidates staged by apply_route into the priority-sorted list.
-  void merge_staged_candidates();
-  /// Removes a not-yet-started packet from the pending structures.
+  /// The Candidate view of a pending packet, from the per-slot arrays.
+  Candidate candidate_of(PacketIndex packet) const;
+  /// Decreasing chunk priority between two pending packets.
+  bool higher_priority(PacketIndex a, PacketIndex b) const;
+  /// True iff `packet` is in the window and listed in the store.
+  bool is_pending(PacketIndex packet) const;
+  /// Queues edge e's entries of the edge-head list for the next refresh.
+  void mark_dirty(EdgeIndex e);
+  /// Re-lists the heads of every edge whose heads changed since the last
+  /// round (one merging pass into the spare buffer) and refreshes every
+  /// entry's `remaining`.
+  void refresh_heads();
+  /// Folds arrivals staged since the last call into pending_by_priority.
+  void merge_by_priority() const;
+  /// The entry of a pending packet in a priority-sorted list that holds it.
+  Candidate& listed_entry(std::vector<Candidate>& list, PacketIndex packet) const;
+  /// Lists a freshly routed packet's chunks on its edge.
+  void list_pending(PacketIndex packet, EdgeIndex e);
+  /// Removes a not-yet-finished packet from the pending structures.
   void unlist_pending(PacketIndex packet);
-  /// Order-preserving removal from one per-endpoint queue via its index map.
-  void erase_from_queue(std::vector<PacketIndex>& queue,
-                        std::vector<std::int32_t>& position, PacketIndex packet);
+  /// Fills `index`'s weight structures from the pending store.
+  void rebuild_impact_weights(ImpactIndex& index) const;
   /// Restricted migration: re-dispatches packets with no transmitted chunk.
   void redispatch_queued_packets();
   /// Sorts packet ids by (arrival, id): the deterministic, arrival-fair
@@ -542,19 +580,25 @@ class Engine {
   std::vector<PacketIndex> mutation_scratch_;
   mutable std::vector<EdgeIndex> route_scratch_;
 
-  /// Pending candidates in decreasing chunk priority; the list handed to
-  /// the scheduler. Maintained incrementally: same-step dispatches stage
-  /// into staged_ and are batch-merged before the next scheduling round.
-  std::vector<Candidate> candidates_;
-  std::vector<Candidate> staged_;
+  /// The one record of pending reconfigurable-route packets (a priority
+  /// heap and a FIFO list per edge; see sim/pending_store.hpp).
+  PendingStore store_;
 
-  /// Per-endpoint queues (dispatch order, as impact_of's accounting
-  /// expects) with per-packet index maps (window-slot indexed) for
-  /// scan-free removal.
-  std::vector<std::vector<PacketIndex>> pending_by_transmitter_;
-  std::vector<std::vector<PacketIndex>> pending_by_receiver_;
-  std::vector<std::int32_t> queue_pos_transmitter_;  ///< window slot -> index
-  std::vector<std::int32_t> queue_pos_receiver_;
+  /// The edge-head list handed to select(), priority-sorted. A store
+  /// change that moves an edge's heads stamps the edge dirty, and the next
+  /// refresh_heads() re-lists it and re-reads every entry's `remaining`.
+  std::vector<Candidate> heads_;
+  std::vector<Candidate> spare_heads_;     ///< refresh scratch: the next list
+  std::vector<Candidate> fresh_heads_;     ///< refresh scratch: new entries
+  std::vector<std::uint64_t> edge_dirty_;  ///< per edge; dirty iff == dirty_serial_
+  std::vector<EdgeIndex> dirty_edges_;
+  std::uint64_t dirty_serial_ = 1;
+
+  /// pending_by_priority(): live once first requested (or when recording a
+  /// trace); arrivals stage until the next merge.
+  mutable bool by_priority_live_ = false;
+  mutable std::vector<Candidate> by_priority_;
+  mutable std::vector<Candidate> by_priority_staged_;
 
   /// Round-stamped scratch for selection validation (replaces per-round
   /// allocations sized by the topology).
@@ -563,16 +607,13 @@ class Engine {
   std::vector<std::uint64_t> load_t_round_, load_r_round_;
   std::vector<int> load_t_, load_r_;
   std::vector<PacketIndex> owner_t_, owner_r_;  ///< valid iff round matches
-  std::vector<std::uint64_t> chosen_round_;     ///< per candidate index
 
   std::vector<EdgeMeta> edge_meta_;  ///< per-edge constants (see edge_meta())
 
-  /// Reusable round-loop scratch: the Selection handed to the scheduler,
-  /// the merge buffer behind merge_staged_candidates, and the finished-
-  /// candidate list of the post-transmit compaction. All grow-once.
+  /// Reusable round-loop scratch: the Selection handed to the scheduler
+  /// and the packets that finished this round. Both grow-once.
   Selection selection_;
-  std::vector<Candidate> merge_scratch_;
-  std::vector<std::size_t> finished_scratch_;
+  std::vector<Candidate> finished_scratch_;
 
   /// Incremental per-endpoint impact index; fed at dispatch, per-chunk
   /// service, and unlisting. Mutable: weight structures build lazily

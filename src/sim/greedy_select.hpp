@@ -26,8 +26,8 @@ struct GreedySelectScratch {
   std::vector<std::uint64_t> receiver_taken;
 
   /// Greedily accepts `order`'s candidates (indices into `candidates`)
-  /// whose endpoints are both free, appending accepted indices to `out`
-  /// in acceptance order.
+  /// whose endpoints are both free, appending the accepted packets to
+  /// `out` in acceptance order.
   void select_in_order(const Engine& engine, const std::vector<Candidate>& candidates,
                        const std::vector<std::size_t>& order, Selection& out) {
     transmitter_taken.resize(static_cast<std::size_t>(engine.topology().num_transmitters()),
@@ -41,7 +41,7 @@ struct GreedySelectScratch {
       if (t_taken == serial || r_taken == serial) continue;
       t_taken = serial;
       r_taken = serial;
-      out.push(idx);
+      out.push(c.packet);
     }
   }
 };

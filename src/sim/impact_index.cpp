@@ -285,18 +285,16 @@ void ImpactIndex::decay() {
   weight_ready_ = false;
 }
 
-void ImpactIndex::rebuild(const std::vector<Candidate>& merged,
-                          const std::vector<Candidate>& staged) {
+void ImpactIndex::begin_rebuild() {
   decay();
   weight_ready_ = true;
   ++rebuilds_;
-  for (const std::vector<Candidate>* list : {&merged, &staged}) {
-    for (const Candidate& c : *list) {
-      if (c.remaining <= 0) continue;
-      apply_weight(c.transmitter, c.receiver, pair_of_[static_cast<std::size_t>(c.edge)],
-                   c.chunk_weight, c.remaining);
-    }
-  }
+}
+
+void ImpactIndex::rebuild_add(NodeIndex t, NodeIndex r, EdgeIndex e, double chunk_weight,
+                              std::int64_t chunks) {
+  if (chunks <= 0) return;
+  apply_weight(t, r, pair_of_[static_cast<std::size_t>(e)], chunk_weight, chunks);
 }
 
 ImpactSplit ImpactIndex::edge_split(EdgeIndex e, double threshold) {

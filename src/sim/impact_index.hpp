@@ -48,7 +48,7 @@
 // maintained, O(1) eagerly, on dispatch, per-chunk service, and unlisting
 // -- they make JSQ's edge load a three-counter read with bit-identical
 // results. The weight treaps are lazily enabled on the first impact query
-// (rebuilt from the engine's candidate lists) and thereafter maintained
+// (rebuilt from the engine's pending store) and thereafter maintained
 // through a deferred-event queue flushed at query time: because the
 // structure is a pure function of the current multiset, batching updates
 // is equivalent to applying them eagerly. If many maintenance events
@@ -228,10 +228,14 @@ class ImpactIndex {
 
   bool weight_ready() const noexcept { return weight_ready_; }
 
-  /// (Re)builds the weight treaps from the engine's candidate lists (the
-  /// full pending multiset) and enables query-time maintenance. The engine
-  /// calls this lazily on the first impact query and again after a decay.
-  void rebuild(const std::vector<Candidate>& merged, const std::vector<Candidate>& staged);
+  /// (Re)builds the weight treaps from the full pending multiset and
+  /// enables query-time maintenance: begin_rebuild() clears them, then one
+  /// rebuild_add() per pending packet (any order -- the canonical shape
+  /// makes the result order-independent). The engine runs this lazily on
+  /// the first impact query and again after a decay.
+  void begin_rebuild();
+  void rebuild_add(NodeIndex t, NodeIndex r, EdgeIndex e, double chunk_weight,
+                   std::int64_t chunks);
 
   /// |H| and w(L) for edge `e` at `threshold` = w_p/d(e); requires
   /// weight_ready(). Flushes deferred maintenance first (O(log n) each),

@@ -50,17 +50,17 @@ class EngineObserver {
   virtual void on_dispatch(const Engine& engine, const Packet& packet,
                            const RouteDecision& route) = 0;
 
-  /// The scheduler returned `selected` (indices into `candidates`), before
-  /// the engine's own validation runs -- the auditor independently verifies
-  /// the selection is a feasible (b-)matching.
-  virtual void on_selection(const Engine& engine, const std::vector<Candidate>& candidates,
-                            const std::vector<std::size_t>& selected) = 0;
+  /// The scheduler was handed the edge-head list `heads` and returned the
+  /// packets `selected`, before the engine's own validation runs -- the
+  /// auditor independently verifies the list and that the selection is a
+  /// feasible (b-)matching of pending packets.
+  virtual void on_selection(const Engine& engine, const std::vector<Candidate>& heads,
+                            const std::vector<PacketIndex>& selected) = 0;
 
-  /// The chunks of `transmitted` (indices into `candidates`, a subset of
-  /// the validated selection after reconfiguration-delay filtering) are
-  /// transmitted this round; candidate `remaining` values are pre-decrement.
-  virtual void on_round(const Engine& engine, const std::vector<Candidate>& candidates,
-                        const std::vector<std::size_t>& transmitted) = 0;
+  /// One chunk of each packet in `transmitted` (a subset of the validated
+  /// selection after reconfiguration-delay filtering) transmits this round.
+  virtual void on_round(const Engine& engine,
+                        const std::vector<PacketIndex>& transmitted) = 0;
 
   /// `packet` completed with `outcome` (called before the outcome leaves
   /// the engine through the sink / result vector).

@@ -38,9 +38,11 @@ namespace rdcn {
 /// per-step packet dispatch (policy decision + route application);
 /// IndexMaintenance the impact index's lazy rebuild + deferred-event flush
 /// + query, nested inside Dispatch (or Select, for index-using
-/// schedulers); MergeCompact both the staged-candidate merge and the
-/// post-round completed-candidate compaction; Service the chunk transmit
-/// and retirement accounting.
+/// schedulers); MergeCompact the upkeep of the pending store: the
+/// per-round edge-head refresh, unlisting finished or re-dispatched
+/// packets, and the full priority list when a policy asked for it (the
+/// listing of each dispatched packet counts toward Dispatch); Service the
+/// chunk transmit and retirement accounting.
 enum class Phase : std::uint8_t {
   Dispatch = 0,
   IndexMaintenance,

@@ -68,27 +68,29 @@ class DoubleBookingScheduler final : public SchedulePolicy {
  public:
   void select(const Engine&, Time, const std::vector<Candidate>& candidates,
               Selection& out) override {
-    if (!candidates.empty()) out.push(0);
-    if (candidates.size() >= 2) out.push(1);
+    if (!candidates.empty()) out.push(candidates[0].packet);
+    if (candidates.size() >= 2) out.push(candidates[1].packet);
   }
 };
 
-class DuplicateIndexScheduler final : public SchedulePolicy {
+/// Names the same pending packet twice.
+class DuplicatePacketScheduler final : public SchedulePolicy {
  public:
   void select(const Engine&, Time, const std::vector<Candidate>& candidates,
               Selection& out) override {
     if (!candidates.empty()) {
-      out.push(0);
-      out.push(0);
+      out.push(candidates[0].packet);
+      out.push(candidates[0].packet);
     }
   }
 };
 
-class OutOfRangeScheduler final : public SchedulePolicy {
+/// Names a packet id that was never dispatched.
+class UnknownPacketScheduler final : public SchedulePolicy {
  public:
   void select(const Engine&, Time, const std::vector<Candidate>& candidates,
               Selection& out) override {
-    out.push(candidates.size() + 7);
+    out.push(static_cast<PacketIndex>(candidates.size()) + 7);
   }
 };
 
@@ -124,14 +126,14 @@ TEST(InvariantAuditor, CatchesDuplicateAndOutOfRangeSelections) {
   const Instance instance = shared_transmitter_instance();
   {
     ImpactDispatcher dispatcher;
-    DuplicateIndexScheduler scheduler;
+    DuplicatePacketScheduler scheduler;
     EngineOptions audited;
     audited.audit = true;
     EXPECT_THROW(simulate(instance, dispatcher, scheduler, audited), AuditFailure);
   }
   {
     ImpactDispatcher dispatcher;
-    OutOfRangeScheduler scheduler;
+    UnknownPacketScheduler scheduler;
     EngineOptions audited;
     audited.audit = true;
     EXPECT_THROW(simulate(instance, dispatcher, scheduler, audited), AuditFailure);
@@ -140,15 +142,20 @@ TEST(InvariantAuditor, CatchesDuplicateAndOutOfRangeSelections) {
 
 TEST(InvariantAuditor, WithoutAuditTheEngineBackstopStillThrows) {
   const Instance instance = shared_transmitter_instance();
-  ImpactDispatcher dispatcher;
-  DoubleBookingScheduler scheduler;
-  try {
-    simulate(instance, dispatcher, scheduler, {});
-    FAIL() << "engine accepted an infeasible matching";
-  } catch (const AuditFailure&) {
-    FAIL() << "no auditor is attached without EngineOptions::audit";
-  } catch (const std::logic_error&) {
-    SUCCEED();  // the engine's own validation
+  DoubleBookingScheduler double_booking;
+  DuplicatePacketScheduler duplicate;
+  UnknownPacketScheduler unknown;
+  for (SchedulePolicy* scheduler :
+       std::initializer_list<SchedulePolicy*>{&double_booking, &duplicate, &unknown}) {
+    ImpactDispatcher dispatcher;
+    try {
+      simulate(instance, dispatcher, *scheduler, {});
+      FAIL() << "engine accepted an invalid selection";
+    } catch (const AuditFailure&) {
+      FAIL() << "no auditor is attached without EngineOptions::audit";
+    } catch (const std::logic_error&) {
+      SUCCEED();  // the engine's own validation
+    }
   }
 }
 

@@ -24,7 +24,7 @@ class CheatingScheduler final : public SchedulePolicy {
  public:
   void select(const Engine&, Time, const std::vector<Candidate>& candidates,
               Selection& out) override {
-    for (std::size_t i = 0; i < candidates.size(); ++i) out.push(i);
+    for (const Candidate& c : candidates) out.push(c.packet);
   }
 };
 

@@ -3,8 +3,9 @@
 //    reproduce the pre-refactor (rebuild-and-sort) engine's schedules
 //    bit-for-bit; the golden costs below were captured from the seed
 //    engine on the make_varied_instance family;
-//  * the SchedulePolicy contract -- candidates arrive priority-sorted at
-//    every round with consistent remaining counts;
+//  * the SchedulePolicy contract -- select() gets exactly each edge's
+//    priority and FIFO heads, priority-sorted, with current remaining
+//    counts, on shallow and deep queues alike;
 //  * EngineOptions edge interactions (reconfig_delay x endpoint_capacity,
 //    redispatch_queued / record_trace rejection matrix).
 
@@ -14,6 +15,7 @@
 #include <map>
 
 #include "core/alg.hpp"
+#include "core/randomized.hpp"
 #include "helpers.hpp"
 #include "net/builders.hpp"
 #include "run/policies.hpp"
@@ -242,26 +244,241 @@ TEST(EngineRegression, AllRegistryPoliciesMatchScheduleGoldensStreamed) {
   }
 }
 
-/// Delegating scheduler that asserts the engine's candidate contract.
+// ------------------------------------------- deep-queue schedule goldens --
+//
+// The goldens above run 60-100-packet instances whose queues stay a few
+// chunks deep, so almost every pending chunk is the head of its edge and a
+// scheduler that saw only edge heads could not be told apart from one that
+// saw every chunk. This instance parks two thirds of a 12-packet-per-step
+// stream on one rack pair of an 8-rack pod (four edges, four chunks per
+// step): the pending set peaks in the thousands and most chunks sit behind
+// an edge head. Half the weights come from a four-value set, so chunk-
+// weight ties exercise the arrival and id tie-breaks. Hashes were recorded
+// from the engine that still handed select() the full pending list.
+
+Instance deep_queue_instance() {
+  TwoTierConfig net;
+  net.racks = 8;
+  net.lasers_per_rack = 2;
+  net.photodetectors_per_rack = 2;
+  net.density = 1.0;
+  net.max_edge_delay = 3;
+  Rng rng(41);
+  Topology topology = build_two_tier(net, rng);
+  const NodeIndex racks = net.racks;
+  Instance instance(std::move(topology), {});
+  for (Time step = 1; step <= 300; ++step) {
+    for (int k = 0; k < 12; ++k) {
+      const Weight weight = k % 2 == 0 ? 1.0 + static_cast<double>(rng.next_below(4))
+                                       : rng.next_double(0.5, 8.0);
+      NodeIndex source = 0;
+      NodeIndex destination = 1;
+      if (k % 3 == 0) {
+        const auto draw = [&rng](NodeIndex bound) {
+          return static_cast<NodeIndex>(rng.next_below(static_cast<std::uint64_t>(bound)));
+        };
+        source = draw(racks);
+        destination = (source + 1 + draw(racks - 1)) % racks;
+      }
+      instance.add_packet(step, weight, source, destination);
+    }
+  }
+  return instance;
+}
+
+struct DeepRun {
+  std::uint64_t hash = 0;
+  Time makespan = 0;
+  std::size_t pending_peak = 0;  ///< streamed runs only
+};
+
+DeepRun deep_batch(const Instance& instance, DispatchPolicy& dispatcher,
+                   SchedulePolicy& scheduler, EngineOptions options,
+                   const std::vector<TimedMutation>& schedule = {}) {
+  options.audit = true;
+  Engine engine(instance, dispatcher, scheduler, options);
+  const RunResult run = engine.run(schedule);
+  return {schedule_hash(run.outcomes), run.makespan, 0};
+}
+
+DeepRun deep_streamed(const Instance& instance, DispatchPolicy& dispatcher,
+                      SchedulePolicy& scheduler) {
+  EngineOptions options;
+  options.audit = true;
+  options.max_steps = default_max_steps(instance, 0);
+  std::vector<PacketOutcome> outcomes(instance.num_packets());
+  Engine engine(instance.topology(), dispatcher, scheduler, options,
+                [&outcomes](RetiredPacket&& packet) {
+                  outcomes[static_cast<std::size_t>(packet.id)] = std::move(packet.outcome);
+                });
+  DeepRun result;
+  const auto& packets = instance.packets();
+  std::size_t next = 0;
+  while (next < packets.size() || engine.busy()) {
+    const Time* upcoming = next < packets.size() ? &packets[next].arrival : nullptr;
+    engine.begin_step(upcoming);
+    while (next < packets.size() && packets[next].arrival == engine.now()) {
+      engine.inject(packets[next]);
+      ++next;
+    }
+    engine.finish_step();
+    result.pending_peak =
+        std::max(result.pending_peak, engine.pending_candidates().size());
+  }
+  result.hash = schedule_hash(outcomes);
+  result.makespan = engine.aggregates().makespan;
+  return result;
+}
+
+struct DeepGolden {
+  const char* label;
+  std::uint64_t hash;
+  Time makespan;
+};
+
+constexpr DeepGolden kDeepPolicyGoldens[] = {
+    {"alg", 0x61d4066690271ac6ULL, 1862},
+    {"maxweight", 0xd0782e13bd72be06ULL, 2140},
+    {"islip", 0x2a73972d470f974dULL, 2013},
+    {"rotor", 0x1a4be953a1328640ULL, 28090},
+    {"random", 0xbf80f6eed124ab66ULL, 2143},
+    {"fifo", 0x4f4301ee2fa3596aULL, 2122},
+    {"impact", 0x61d4066690271ac6ULL, 1862},
+    {"random-dispatch", 0x0fdda515e374a650ULL, 3755},
+    {"round-robin", 0x2885e1d3b13f42ceULL, 3721},
+    {"jsq", 0x28da034c8a2a779eULL, 2164},
+    {"min-delay", 0xa126d0049ff6ed5aULL, 2527},
+    {"direct-only", 0x658c035c25e95e76ULL, 2701},
+};
+
+void expect_golden(const DeepRun& run, const DeepGolden& golden, const char* mode) {
+  EXPECT_EQ(run.hash, golden.hash)
+      << golden.label << " (" << mode << "): hash 0x" << std::hex << run.hash;
+  EXPECT_EQ(run.makespan, golden.makespan) << golden.label << " (" << mode << ")";
+}
+
+TEST(DeepQueueGoldens, RegistryPoliciesBatchAndStreamed) {
+  const Instance instance = deep_queue_instance();
+  for (const DeepGolden& golden : kDeepPolicyGoldens) {
+    const PolicyFactory policy = named_policy(golden.label);
+    {
+      auto dispatcher = policy.dispatcher();
+      auto scheduler = policy.scheduler(instance.topology());
+      expect_golden(deep_batch(instance, *dispatcher, *scheduler, {}), golden, "batch");
+    }
+    auto dispatcher = policy.dispatcher();
+    auto scheduler = policy.scheduler(instance.topology());
+    const DeepRun streamed = deep_streamed(instance, *dispatcher, *scheduler);
+    expect_golden(streamed, golden, "streamed");
+    // The point of the instance: queues far deeper than one chunk per
+    // edge, under every policy (peaks 2.1k-3.0k packets when recorded).
+    EXPECT_GE(streamed.pending_peak, std::size_t{2000}) << golden.label;
+  }
+}
+
+TEST(DeepQueueGoldens, RandomizedSchedulers) {
+  const Instance instance = deep_queue_instance();
+  {
+    ImpactDispatcher dispatcher;
+    PerturbedStableScheduler scheduler(0.3, 7);
+    expect_golden(deep_batch(instance, dispatcher, scheduler, {}),
+                  {"perturbed-stable", 0x03e5102fe556c9cbULL, 1864}, "batch");
+  }
+  {
+    ImpactDispatcher dispatcher;
+    RandomSerialDictatorScheduler scheduler(7);
+    expect_golden(deep_batch(instance, dispatcher, scheduler, {}),
+                  {"serial-dictator", 0x62ea7dfc824a8419ULL, 1876}, "batch");
+  }
+}
+
+TEST(DeepQueueGoldens, AlgExtensions) {
+  const Instance instance = deep_queue_instance();
+  {
+    ImpactDispatcher dispatcher;
+    StableMatchingScheduler scheduler;
+    expect_golden(deep_batch(instance, dispatcher, scheduler, {.endpoint_capacity = 2}),
+                  {"alg capacity 2", 0x3a4dedb0c4b6bde4ULL, 1816}, "batch");
+  }
+  {
+    ImpactDispatcher dispatcher;
+    StableMatchingScheduler scheduler;
+    expect_golden(deep_batch(instance, dispatcher, scheduler, {.reconfig_delay = 1}),
+                  {"alg reconfig_delay 1", 0x05999705c3da7455ULL, 1958}, "batch");
+  }
+}
+
+TEST(DeepQueueGoldens, StagedEdgeKillRequeues) {
+  // Kill two of the hot pair's four edges mid-backlog and requeue their
+  // untouched packets; restore one of them later.
+  const Instance instance = deep_queue_instance();
+  std::vector<EdgeIndex> hot;
+  instance.topology().candidate_edges_into(0, 1, hot);
+  ASSERT_GE(hot.size(), std::size_t{2});
+  std::vector<TimedMutation> schedule(2);
+  schedule[0].at = 150;
+  schedule[0].mutation.kill_edges = {hot[0], hot[1]};
+  schedule[0].mutation.dead_policy = DeadPolicy::Requeue;
+  schedule[1].at = 400;
+  schedule[1].mutation.restore_edges = {hot[0]};
+  const DeepGolden goldens[] = {{"alg staged requeue", 0x4b6b1065ef9f9efdULL, 3291},
+                                {"random staged requeue", 0x8835ead7a673a962ULL, 6865}};
+  for (const DeepGolden& golden : goldens) {
+    const PolicyFactory policy = named_policy(golden.label[0] == 'a' ? "alg" : "random");
+    auto dispatcher = policy.dispatcher();
+    auto scheduler = policy.scheduler(instance.topology());
+    expect_golden(deep_batch(instance, *dispatcher, *scheduler, {}, schedule), golden,
+                  "batch");
+  }
+}
+
+/// Delegating scheduler that asserts the engine's edge-head contract
+/// against heads it derives itself: a scan of every pending packet (the
+/// per-transmitter queues), keyed by the instance's arrivals. With
+/// `check_full_list` it also pins Engine::pending_by_priority to the sorted
+/// scan -- asking for that list turns on its incremental maintenance,
+/// which must leave the schedule unchanged.
 class ContractCheckingScheduler final : public SchedulePolicy {
  public:
+  explicit ContractCheckingScheduler(const Instance& instance,
+                                     bool check_full_list = false)
+      : instance_(&instance), check_full_list_(check_full_list) {}
+
   void select(const Engine& engine, Time now, const std::vector<Candidate>& candidates,
               Selection& out) override {
-    EXPECT_TRUE(std::is_sorted(candidates.begin(), candidates.end(),
-                               [](const Candidate& a, const Candidate& b) {
-                                 return chunk_higher_priority(a, b);
-                               }));
-    EXPECT_EQ(&candidates, &engine.pending_candidates());
     EXPECT_TRUE(out.empty());  // the engine hands the scratch cleared
+    EXPECT_EQ(&candidates, &engine.edge_heads());
+    std::vector<Candidate> pending;
+    std::map<EdgeIndex, std::pair<Candidate, Candidate>> heads;  // priority, FIFO
+    for (NodeIndex t = 0; t < engine.topology().num_transmitters(); ++t) {
+      for (const PacketIndex p : engine.pending_on_transmitter(t)) {
+        const Candidate c = view(engine, p);
+        EXPECT_GT(c.remaining, 0);
+        pending.push_back(c);
+        const auto [it, fresh] = heads.try_emplace(c.edge, c, c);
+        if (fresh) continue;
+        if (chunk_higher_priority(c, it->second.first)) it->second.first = c;
+        const Candidate& first = it->second.second;
+        if (c.arrival < first.arrival ||
+            (c.arrival == first.arrival && c.packet < first.packet)) {
+          it->second.second = c;
+        }
+      }
+    }
+    EXPECT_EQ(pending.size(), engine.pending_candidates().size());
+    std::vector<Candidate> expected;
+    for (const auto& [edge, pair] : heads) {
+      expected.push_back(pair.first);
+      if (pair.second.packet != pair.first.packet) expected.push_back(pair.second);
+    }
+    std::sort(expected.begin(), expected.end(), chunk_higher_priority);
+    expect_same(candidates, expected, "edge-head list");
+    if (check_full_list_) {
+      std::sort(pending.begin(), pending.end(), chunk_higher_priority);
+      expect_same(engine.pending_by_priority(), pending, "pending_by_priority");
+    }
     const ActiveEndpoints& active = engine.active_endpoints(candidates);
     for (const Candidate& c : candidates) {
-      EXPECT_GT(c.remaining, 0);
-      EXPECT_EQ(c.remaining, engine.remaining_chunks(c.packet));
-      EXPECT_EQ(c.edge, engine.assigned_edge(c.packet));
-      EXPECT_DOUBLE_EQ(c.chunk_weight, engine.chunk_weight(c.packet));
-      // The per-endpoint queues and the candidate list agree.
-      const auto& queue = engine.pending_on_transmitter(c.transmitter);
-      EXPECT_NE(std::find(queue.begin(), queue.end(), c.packet), queue.end());
       // The active-endpoint remap round-trips for every candidate endpoint.
       const auto t_rank = static_cast<std::size_t>(active.transmitter_rank(c.transmitter));
       const auto r_rank = static_cast<std::size_t>(active.receiver_rank(c.receiver));
@@ -277,13 +494,41 @@ class ContractCheckingScheduler final : public SchedulePolicy {
   int rounds_checked = 0;
 
  private:
+  Candidate view(const Engine& engine, PacketIndex p) const {
+    Candidate c;
+    c.packet = p;
+    c.edge = engine.assigned_edge(p);
+    c.transmitter = engine.topology().edge(c.edge).transmitter;
+    c.receiver = engine.topology().edge(c.edge).receiver;
+    c.chunk_weight = engine.chunk_weight(p);
+    c.arrival = instance_->packets()[static_cast<std::size_t>(p)].arrival;
+    c.remaining = engine.remaining_chunks(p);
+    return c;
+  }
+
+  static void expect_same(const std::vector<Candidate>& got,
+                          const std::vector<Candidate>& want, const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].packet, want[i].packet) << what << " entry " << i;
+      EXPECT_EQ(got[i].edge, want[i].edge) << what << " entry " << i;
+      EXPECT_EQ(got[i].transmitter, want[i].transmitter) << what << " entry " << i;
+      EXPECT_EQ(got[i].receiver, want[i].receiver) << what << " entry " << i;
+      EXPECT_EQ(got[i].chunk_weight, want[i].chunk_weight) << what << " entry " << i;
+      EXPECT_EQ(got[i].arrival, want[i].arrival) << what << " entry " << i;
+      EXPECT_EQ(got[i].remaining, want[i].remaining) << what << " entry " << i;
+    }
+  }
+
+  const Instance* instance_;
+  bool check_full_list_;
   StableMatchingScheduler inner_;
 };
 
-TEST(EngineRegression, CandidateListStaysSortedAndConsistent) {
+TEST(EngineRegression, EdgeHeadListMatchesAnIndependentScan) {
   const Instance instance = testing::make_varied_instance(103);
   ImpactDispatcher dispatcher;
-  ContractCheckingScheduler scheduler;
+  ContractCheckingScheduler scheduler(instance);
   const RunResult run = simulate(instance, dispatcher, scheduler, {});
   EXPECT_TRUE(all_delivered(instance, run));
   EXPECT_GT(scheduler.rounds_checked, 10);
@@ -291,22 +536,37 @@ TEST(EngineRegression, CandidateListStaysSortedAndConsistent) {
 
 TEST(EngineRegression, ContractHoldsUnderMigrationAndCapacity) {
   const Instance instance = testing::make_varied_instance(101);
-  {
-    ImpactDispatcher dispatcher;
-    ContractCheckingScheduler scheduler;
-    EngineOptions options;
-    options.redispatch_queued = true;
-    options.audit = true;  // the auditor's re-dispatch ledger path
-    EXPECT_TRUE(all_delivered(instance, simulate(instance, dispatcher, scheduler, options)));
+  for (const bool full_list : {false, true}) {
+    {
+      ImpactDispatcher dispatcher;
+      ContractCheckingScheduler scheduler(instance, full_list);
+      EngineOptions options;
+      options.redispatch_queued = true;
+      options.audit = true;  // the auditor's re-dispatch ledger path
+      const RunResult run = simulate(instance, dispatcher, scheduler, options);
+      EXPECT_TRUE(all_delivered(instance, run));
+    }
+    {
+      ImpactDispatcher dispatcher;
+      ContractCheckingScheduler scheduler(instance, full_list);
+      EngineOptions options;
+      options.endpoint_capacity = 3;
+      options.audit = true;
+      const RunResult run = simulate(instance, dispatcher, scheduler, options);
+      EXPECT_TRUE(all_delivered(instance, run));
+    }
   }
-  {
-    ImpactDispatcher dispatcher;
-    ContractCheckingScheduler scheduler;
-    EngineOptions options;
-    options.endpoint_capacity = 3;
-    options.audit = true;
-    EXPECT_TRUE(all_delivered(instance, simulate(instance, dispatcher, scheduler, options)));
-  }
+}
+
+TEST(EngineRegression, ContractHoldsOnDeepQueues) {
+  // Thousands pending behind a few edge heads; the full list is turned on
+  // mid-run (first round), and the schedule must still be alg's golden.
+  const Instance instance = deep_queue_instance();
+  ImpactDispatcher dispatcher;
+  ContractCheckingScheduler scheduler(instance, /*check_full_list=*/true);
+  const RunResult run = simulate(instance, dispatcher, scheduler, {});
+  EXPECT_EQ(schedule_hash(run.outcomes), kDeepPolicyGoldens[0].hash);
+  EXPECT_GT(scheduler.rounds_checked, 1000);
 }
 
 // ------------------------------------------ EngineOptions interactions --

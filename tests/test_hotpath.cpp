@@ -1,6 +1,7 @@
 // Hot-path contracts of the scheduling round loop (ISSUE 5):
 //  * steady-state rounds perform ZERO heap allocations, for every registry
-//    scheduler and both randomized schedulers -- the Selection API hands
+//    scheduler and both randomized schedulers, on shallow queues and at a
+//    backlog of 10k+ chunks -- the Selection API hands
 //    policies an engine-owned output scratch, and every policy keeps its
 //    working buffers as grow-once members;
 //  * Engine::active_endpoints builds a correct dense remap for both the
@@ -175,6 +176,67 @@ TEST(HotPathAllocations, RandomizedSchedulersDrainWithoutAllocating) {
         measure_drain_allocations(*dispatcher, scheduler, topology, 3);
     EXPECT_GT(steps, 5);
     EXPECT_EQ(allocations, 0u) << "RandomSerialDictatorScheduler";
+  }
+}
+
+// ------------------------------------------------------ deep backlog --
+
+/// Pending chunks across the reconfigurable layer (the index's counters).
+std::int64_t pending_chunks(const Engine& engine) {
+  std::int64_t chunks = 0;
+  for (NodeIndex t = 0; t < engine.topology().num_transmitters(); ++t) {
+    chunks += engine.impact_index().transmitter_chunks(t);
+  }
+  return chunks;
+}
+
+TEST(HotPathAllocations, DeepBacklogDrainsWithoutAllocating) {
+  // Half of an 8000-packet burst on one rack pair of an 8-rack pod: the
+  // backlog starts near 16k chunks, almost all of them behind an edge
+  // head. The edge-head refresh, the per-edge heaps and (for random) the
+  // incrementally kept full list must all run off the heap at this depth.
+  TwoTierConfig net;
+  net.racks = 8;
+  net.max_edge_delay = 3;
+  Rng topology_rng(5);
+  const Topology topology = build_two_tier(net, topology_rng);
+  Rng rng(12);
+  std::vector<Packet> packets;
+  while (packets.size() < 8000) {
+    Packet p;
+    p.id = static_cast<PacketIndex>(packets.size());
+    p.arrival = 1;
+    p.weight = rng.next_double(0.5, 8.0);
+    p.source = 0;
+    p.destination = 1;
+    if (packets.size() % 2 == 1) {
+      p.source = static_cast<NodeIndex>(rng.next_below(8));
+      p.destination = static_cast<NodeIndex>((p.source + 1 + rng.next_below(7)) % 8);
+    }
+    packets.push_back(p);
+  }
+  for (const char* name : {"alg", "maxweight", "islip", "random"}) {
+    const PolicyFactory policy = named_policy(name);
+    auto dispatcher = policy.dispatcher();
+    auto scheduler = policy.scheduler(topology);
+    Engine engine(topology, *dispatcher, *scheduler, {}, [](RetiredPacket&&) {});
+    const Time arrival = 1;
+    engine.begin_step(&arrival);
+    for (const Packet& p : packets) engine.inject(p);
+    engine.finish_step();
+    for (int i = 0; i < 3; ++i) {
+      engine.begin_step(nullptr);
+      engine.finish_step();
+    }
+    const std::uint64_t before = g_allocation_count.load();
+    for (int i = 0; i < 200; ++i) {
+      engine.begin_step(nullptr);
+      engine.finish_step();
+    }
+    EXPECT_EQ(g_allocation_count.load() - before, 0u)
+        << name << ": deep drain hit the heap";
+    // Every measured round ran at a backlog of at least 10k chunks.
+    EXPECT_GE(pending_chunks(engine), 10000) << name;
   }
 }
 
