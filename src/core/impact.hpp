@@ -24,12 +24,51 @@ struct ImpactBreakdown {
   double delta = 0.0;     ///< the full Delta_p(e)
 };
 
+namespace impact_detail {
+
+/// The deterministic parts of Delta_p(e) shared by both formulations. The
+/// engine precomputes d(u) + (d(e) + 1)/2 + d(v) per edge with the same
+/// association this function used to spell out, so base is bit-identical.
+inline ImpactBreakdown base_terms(const Engine& engine, const Packet& packet, EdgeIndex e,
+                                  double& d, double& own_chunk_weight) {
+  const Engine::EdgeMeta& meta = engine.edge_meta(e);
+  d = meta.delay;
+  own_chunk_weight = packet.weight / d;
+  ImpactBreakdown breakdown;
+  breakdown.base = packet.weight * meta.base_coeff;
+  return breakdown;
+}
+
+}  // namespace impact_detail
+
 /// Computes Delta_p(e) against the engine's current pending state (the
 /// packet itself must not have been enqueued yet). Resolves |H_p(e)| and
-/// w(L_p(e)) through the engine's incremental impact index in O(log n);
-/// h_count is exact, l_weight carries the index's canonical summation
-/// order (see sim/impact_index.hpp).
-ImpactBreakdown impact_of(const Engine& engine, const Packet& packet, EdgeIndex e);
+/// w(L_p(e)) through the engine's incremental impact index, O(1) at
+/// shallow queues and O(log n) at deep ones; h_count is exact, l_weight
+/// carries the index's canonical summation order (see
+/// sim/impact_index.hpp). Inline: it runs once per candidate edge of every
+/// dispatch.
+inline ImpactBreakdown impact_of(const Engine& engine, const Packet& packet,
+                                 EdgeIndex e) {
+  double d = 0.0;
+  double own_chunk_weight = 0.0;
+  ImpactBreakdown breakdown =
+      impact_detail::base_terms(engine, packet, e, d, own_chunk_weight);
+
+  // All pending packets arrived (in sequence order) before `packet`,
+  // because the dispatcher runs at arrival time before enqueueing it; so
+  // every pending chunk is in B_p and ties in weight go to H. The index's
+  // strictly-below query at threshold w_p/d(e) realizes exactly that >=
+  // convention: the at-or-above complement is H.
+  const ImpactSplit split = engine.impact_split(e, own_chunk_weight);
+  breakdown.h_count = split.heavier;
+  breakdown.l_weight = split.lighter_weight;
+
+  breakdown.delta = breakdown.base +
+                    packet.weight * static_cast<double>(breakdown.h_count) +
+                    d * breakdown.l_weight;
+  return breakdown;
+}
 
 /// The pre-index formulation: a full scan over both endpoint queues.
 /// O(pending) per call -- kept as the verification oracle behind check/'s

@@ -405,7 +405,7 @@ void Engine::rebuild_impact_weights(ImpactIndex& index) const {
 }
 
 // rdcn-lint: hot
-ImpactSplit Engine::impact_split(EdgeIndex e, double threshold) const {
+ImpactSplit Engine::impact_split_slow(EdgeIndex e, double threshold) const {
   // Timed at query granularity (rebuild + deferred-event flush + lookup):
   // per-update spans inside add_chunks would cost more than the O(1)
   // counter work they measure. Nests under Dispatch (or Select).
@@ -721,7 +721,7 @@ std::size_t Engine::schedule_round(bool record) {
     probe_->count(Counter::Rounds);
     probe_->gauge(Gauge::PendingCandidates, store_.size());
     probe_->gauge(Gauge::InFlight, in_flight_);
-    probe_->gauge(Gauge::TreapNodes, impact_index_.live_weight_nodes());
+    probe_->gauge(Gauge::WeightKeys, impact_index_.live_weight_keys());
     probe_->set(Counter::IndexRebuilds, impact_index_.rebuilds());
   }
 

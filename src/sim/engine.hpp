@@ -424,11 +424,16 @@ class Engine {
   Probe* probe() noexcept { return probe_; }
 
   /// O(log n) |H_p(e)| / w(L_p(e)) split at `threshold` = w_p/d(e) -- the
-  /// hot path behind impact_of. Enables (or rebuilds after decay) the
-  /// index's weight structures on first use; `mutable` for the same reason
-  /// as the active-endpoint cache: a lazily-built view behind the const
-  /// policy interface.
-  ImpactSplit impact_split(EdgeIndex e, double threshold) const;
+  /// hot path behind impact_of, O(1) at shallow queues. Enables (or
+  /// rebuilds after decay) the index's weight structures on first use;
+  /// `mutable` for the same reason as the active-endpoint cache: a
+  /// lazily-built view behind the const policy interface.
+  ImpactSplit impact_split(EdgeIndex e, double threshold) const {
+    if (probe_ == nullptr && impact_index_.weight_ready()) {
+      return impact_index_.edge_split(e, threshold);
+    }
+    return impact_split_slow(e, threshold);
+  }
 
   /// Per-edge constants derived from the topology once at construction.
   /// Folding them into one cache line per edge keeps the per-candidate
@@ -504,6 +509,8 @@ class Engine {
   void unlist_pending(PacketIndex packet);
   /// Fills `index`'s weight structures from the pending store.
   void rebuild_impact_weights(ImpactIndex& index) const;
+  /// impact_split with the probe on or the weight structures off.
+  ImpactSplit impact_split_slow(EdgeIndex e, double threshold) const;
   /// Restricted migration: re-dispatches packets with no transmitted chunk.
   void redispatch_queued_packets();
   /// Sorts packet ids by (arrival, id): the deterministic, arrival-fair

@@ -166,6 +166,20 @@ std::int32_t TreapStore::add_slow(std::int32_t root, double key, std::int64_t de
   return root;
 }
 
+bool TreapStore::take_pair(std::int32_t root, TreapNode& low, TreapNode& high) {
+  const TreapNode& top = pool_[static_cast<std::size_t>(root)];
+  if (top.left >= 0 && top.right >= 0) return false;
+  const std::int32_t child = top.left >= 0 ? top.left : top.right;
+  if (child < 0) return false;
+  const TreapNode& leaf = pool_[static_cast<std::size_t>(child)];
+  if (leaf.left >= 0 || leaf.right >= 0) return false;
+  low = top.left >= 0 ? leaf : top;
+  high = top.left >= 0 ? top : leaf;
+  release(child);
+  release(root);
+  return true;
+}
+
 WeightBelow TreapStore::below(std::int32_t root, double threshold) const {
   // One descent, visiting the strictly-below nodes in increasing key
   // order; the running sum's association is therefore fixed by the
@@ -188,6 +202,47 @@ WeightBelow TreapStore::below(std::int32_t root, double threshold) const {
     }
   }
   return result;
+}
+
+void WeightStore::add_slow(std::int32_t& handle, double key, std::int64_t delta) {
+  if (handle >= 0) {
+    const std::size_t nodes_before = trees_.live_nodes();
+    handle = trees_.add(handle, key, delta);
+    TreapNode low, high;
+    if (trees_.live_nodes() < nodes_before && trees_.take_pair(handle, low, high)) {
+      // Down to two keys: demote them in key order (see file comment).
+      const std::int32_t i = alloc_inline();
+      Inline& entry = inline_[static_cast<std::size_t>(i)];
+      entry.key[0] = low.key;
+      entry.count[0] = low.count;
+      entry.key[1] = high.key;
+      entry.count[1] = high.count;
+      entry.keys = 2;
+      inline_keys_ += 2;
+      handle = -2 - i;
+    }
+    return;
+  }
+  if (handle <= -2 && delta > 0) {
+    // A third key (the inline path took every other insertion): promote.
+    // Purity makes the inserted tree canonical.
+    const std::int32_t i = -2 - handle;
+    const Inline& entry = inline_[static_cast<std::size_t>(i)];
+    std::int32_t root = trees_.add(-1, entry.key[0], entry.count[0]);
+    root = trees_.add(root, entry.key[1], entry.count[1]);
+    handle = trees_.add(root, key, delta);
+    release_inline(i);
+    inline_keys_ -= 2;
+    return;
+  }
+  bool present = false;
+  if (handle <= -2) {
+    const Inline& entry = inline_[static_cast<std::size_t>(-2 - handle)];
+    present = key == entry.key[0] || (entry.keys == 2 && key == entry.key[1]);
+  }
+  throw std::logic_error(present
+                             ? "impact index: chunk count went negative"
+                             : "impact index: removing chunks at an absent weight key");
 }
 
 }  // namespace impact_detail
@@ -236,14 +291,16 @@ void ImpactIndex::attach(const Topology& topology) {
 
 void ImpactIndex::reserve_pending(std::size_t packets) {
   // Each pending packet holds one key in its transmitter, receiver and
-  // pair structure; distinct-key nodes are shared, so 3x packets is a
-  // ceiling, capped to keep huge batch instances from over-reserving.
-  store_.reserve(3 * std::min<std::size_t>(packets, 1u << 16));
+  // pair structure; distinct keys (tree nodes) and non-empty inline
+  // structures are shared, so 3x packets is a ceiling for both, capped to
+  // keep huge batch instances from over-reserving.
+  const std::size_t ceiling = 3 * std::min<std::size_t>(packets, 1u << 16);
+  store_.reserve(ceiling, ceiling);
 }
 
 void ImpactIndex::add_chunks(NodeIndex t, NodeIndex r, EdgeIndex e, double chunk_weight,
                              std::int64_t delta) {
-  const std::int32_t pair = pair_of_[static_cast<std::size_t>(e)];
+  const std::int32_t pair = pair_of(e);
   t_chunks_[static_cast<std::size_t>(t)] += delta;
   r_chunks_[static_cast<std::size_t>(r)] += delta;
   p_chunks_[static_cast<std::size_t>(pair)] += delta;
@@ -260,12 +317,9 @@ void ImpactIndex::add_chunks(NodeIndex t, NodeIndex r, EdgeIndex e, double chunk
 
 void ImpactIndex::apply_weight(NodeIndex t, NodeIndex r, std::int32_t pair,
                                double chunk_weight, std::int64_t delta) {
-  auto& t_root = t_root_[static_cast<std::size_t>(t)];
-  t_root = store_.add(t_root, chunk_weight, delta);
-  auto& r_root = r_root_[static_cast<std::size_t>(r)];
-  r_root = store_.add(r_root, chunk_weight, delta);
-  auto& p_root = p_root_[static_cast<std::size_t>(pair)];
-  p_root = store_.add(p_root, chunk_weight, delta);
+  store_.add(t_root_[static_cast<std::size_t>(t)], chunk_weight, delta);
+  store_.add(r_root_[static_cast<std::size_t>(r)], chunk_weight, delta);
+  store_.add(p_root_[static_cast<std::size_t>(pair)], chunk_weight, delta);
 }
 
 void ImpactIndex::flush() {
@@ -294,21 +348,14 @@ void ImpactIndex::begin_rebuild() {
 void ImpactIndex::rebuild_add(NodeIndex t, NodeIndex r, EdgeIndex e, double chunk_weight,
                               std::int64_t chunks) {
   if (chunks <= 0) return;
-  apply_weight(t, r, pair_of_[static_cast<std::size_t>(e)], chunk_weight, chunks);
+  apply_weight(t, r, pair_of(e), chunk_weight, chunks);
 }
 
-ImpactSplit ImpactIndex::edge_split(EdgeIndex e, double threshold) {
+void ImpactIndex::prepare_query() {
   if (!weight_ready_) {
     throw std::logic_error("impact index: edge_split before rebuild");
   }
-  if (!events_.empty()) flush();
-  const ReconfigEdge& edge = topology_->edge(e);
-  const std::int32_t t_root = t_root_[static_cast<std::size_t>(edge.transmitter)];
-  const std::int32_t r_root = r_root_[static_cast<std::size_t>(edge.receiver)];
-  const std::int32_t p_root = p_root_[static_cast<std::size_t>(pair_of_[static_cast<std::size_t>(e)])];
-  return combine_impact(store_.chunks(t_root), store_.below(t_root, threshold),
-                        store_.chunks(r_root), store_.below(r_root, threshold),
-                        store_.chunks(p_root), store_.below(p_root, threshold));
+  flush();
 }
 
 }  // namespace rdcn

@@ -81,7 +81,8 @@ enum class Gauge : std::uint8_t {
   SelectedPerRound,
   ActiveTransmitters,
   ActiveReceivers,
-  TreapNodes,
+  WeightKeys,  ///< distinct live keys in the impact index's weight structures
+               ///< (treap nodes + inline one-key structures); 0 while off
   InFlight,
 };
 inline constexpr std::size_t kNumGauges = 6;

@@ -26,7 +26,9 @@
 #include "core/randomized.hpp"
 #include "net/builders.hpp"
 #include "run/policies.hpp"
+#include "run/scenario.hpp"
 #include "sim/engine.hpp"
+#include "traffic/source.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -294,6 +296,67 @@ TEST(HotPathAllocations, DispatchDecisionsAllocateNothingAtSteadyState) {
   EXPECT_GT(decisions, 100u) << "probe loop too short to be meaningful";
   EXPECT_EQ(g_allocation_count.load() - before, 0u)
       << "steady-state dispatch decisions hit the heap";
+}
+
+/// The streamed ALG run of rdcnbench's stream_shallow shape (8-rack pod,
+/// rho 0.5, backlog near 3-11 chunks): almost every dispatch moves some
+/// weight structure across the inline/treap boundary (0 <-> 1 <-> 2 keys,
+/// and now and then a promotion to a treap and back). After a warm-up
+/// that grows the pools to their high-water marks, whole steps --
+/// dispatch, deferred index maintenance, rounds and retirement -- must not
+/// touch the heap.
+TEST(HotPathAllocations, ShallowAlgStreamAllocatesNothingAtSteadyState) {
+  TopologySpec spec;
+  spec.kind = TopologySpec::Kind::TwoTier;
+  spec.two_tier.racks = 8;
+  spec.two_tier.lasers_per_rack = 2;
+  spec.two_tier.photodetectors_per_rack = 2;
+  spec.two_tier.density = 1.0;
+  spec.two_tier.max_edge_delay = 1;
+  const Topology topology = make_topology(spec, 1);
+  TrafficConfig traffic;
+  traffic.process = ArrivalProcess::Poisson;
+  traffic.rho = 0.5;
+  traffic.shape.skew = PairSkew::Uniform;
+  traffic.shape.weights = WeightDist::UniformInt;
+  traffic.shape.weight_max = 10;
+  traffic.shape.seed = 1;
+  const std::unique_ptr<TrafficSource> source = make_source(topology, traffic);
+  // Drawn up front, so the measured loop runs the engine alone.
+  std::vector<Packet> packets;
+  packets.reserve(40000);
+  while (packets.size() < 40000) packets.push_back(source->next().value());
+
+  ImpactDispatcher dispatcher;
+  StableMatchingScheduler scheduler;
+  Engine engine(topology, dispatcher, scheduler, {}, [](RetiredPacket&&) {});
+  std::size_t next = 0;
+  const auto step = [&] {
+    engine.begin_step(&packets[next].arrival);
+    while (next < packets.size() && packets[next].arrival == engine.now()) {
+      engine.inject(packets[next++]);
+    }
+    engine.finish_step();
+  };
+  while (next < packets.size() / 2) step();
+
+  const std::uint64_t before = g_allocation_count.load();
+  std::size_t tree_steps = 0;
+  std::size_t inline_only_steps = 0;
+  while (next + 1 < packets.size()) {
+    step();
+    const ImpactIndex& index = engine.impact_index();
+    if (index.weight_tree_nodes() > 0) {
+      ++tree_steps;
+    } else if (index.live_weight_keys() > 0) {
+      ++inline_only_steps;
+    }
+  }
+  EXPECT_EQ(g_allocation_count.load() - before, 0u)
+      << "steady-state shallow ALG steps hit the heap";
+  // Both sides of the boundary were exercised in the measured window.
+  EXPECT_GT(tree_steps, 0u);
+  EXPECT_GT(inline_only_steps, 0u);
 }
 
 // ------------------------------------------------- active-endpoint remap --

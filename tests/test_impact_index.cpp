@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -154,6 +155,227 @@ TEST(ImpactAggregate, RandomizedAgainstFlatReference) {
 }
 
 // --------------------------------------------------------------------------
+// 1b. The live index's inline structures against the plain-treap oracle
+
+/// Two transmitters x two receivers, with the (t0, r0) pair doubled, so the
+/// pair structure of edges 0 and 1 is shared and differs from both
+/// endpoint structures.
+Topology inline_topology() {
+  Topology topology;
+  topology.add_sources(2);
+  topology.add_destinations(2);
+  const NodeIndex t0 = topology.add_transmitter(0);
+  const NodeIndex t1 = topology.add_transmitter(1);
+  const NodeIndex r0 = topology.add_receiver(0);
+  const NodeIndex r1 = topology.add_receiver(1);
+  topology.add_edge(t0, r0);
+  topology.add_edge(t0, r0);
+  topology.add_edge(t0, r1);
+  topology.add_edge(t1, r0);
+  topology.add_edge(t1, r1);
+  return topology;
+}
+
+/// Pending chunks per (edge, chunk-weight key): the multiset the index
+/// must describe, kept as plain data.
+struct Multiset {
+  std::vector<std::vector<std::pair<double, std::int64_t>>> by_edge;
+
+  std::int64_t& at(EdgeIndex e, double key) {
+    auto& keys = by_edge[static_cast<std::size_t>(e)];
+    for (auto& [k, count] : keys) {
+      if (k == key) return count;
+    }
+    return keys.emplace_back(key, 0).second;
+  }
+};
+
+/// Replays `multiset` into one oracle aggregate per structure that `e`
+/// reads -- every edge sharing its transmitter, its receiver, or both --
+/// and combines them the way the live index does.
+ImpactSplit oracle_split(const Topology& topology, const Multiset& multiset, EdgeIndex e,
+                         double threshold) {
+  const ReconfigEdge& edge = topology.edge(e);
+  ImpactAggregate t, r, pair;
+  for (EdgeIndex f = 0; f < topology.num_edges(); ++f) {
+    const ReconfigEdge& other = topology.edge(f);
+    for (const auto& [key, count] : multiset.by_edge[static_cast<std::size_t>(f)]) {
+      if (count == 0) continue;
+      if (other.transmitter == edge.transmitter) t.add(key, count);
+      if (other.receiver == edge.receiver) r.add(key, count);
+      if (other.transmitter == edge.transmitter && other.receiver == edge.receiver) {
+        pair.add(key, count);
+      }
+    }
+  }
+  return combine_impact(t.chunks(), t.below(threshold), r.chunks(), r.below(threshold),
+                        pair.chunks(), pair.below(threshold));
+}
+
+/// Every edge_split of the live index, bit for bit against the oracle, at
+/// thresholds on, between, below and above the keys in use.
+void expect_matches_oracle(ImpactIndex& index, const Topology& topology,
+                           const Multiset& multiset, const std::vector<double>& keys,
+                           const std::string& where) {
+  std::vector<double> thresholds = {0.0, 100.0};
+  for (const double key : keys) {
+    thresholds.push_back(key);
+    thresholds.push_back(key * 1.5);
+  }
+  for (EdgeIndex e = 0; e < topology.num_edges(); ++e) {
+    for (const double threshold : thresholds) {
+      const ImpactSplit live = index.edge_split(e, threshold);
+      const ImpactSplit want = oracle_split(topology, multiset, e, threshold);
+      ASSERT_EQ(live.heavier, want.heavier)
+          << where << " edge " << e << " at " << threshold;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(live.lighter_weight),
+                std::bit_cast<std::uint64_t>(want.lighter_weight))
+          << where << " edge " << e << " at " << threshold << ": " << live.lighter_weight
+          << " vs " << want.lighter_weight;
+    }
+  }
+}
+
+/// Distinct (structure, key) pairs of the multiset: what live_weight_keys()
+/// must report once the index has flushed.
+std::size_t distinct_structure_keys(const Topology& topology, const Multiset& multiset) {
+  std::vector<std::pair<std::int64_t, double>> seen;  // (structure id, key)
+  for (EdgeIndex e = 0; e < topology.num_edges(); ++e) {
+    const ReconfigEdge& edge = topology.edge(e);
+    const std::int64_t structures[] = {
+        edge.transmitter, 100 + edge.receiver,
+        200 + 10 * static_cast<std::int64_t>(edge.transmitter) + edge.receiver};
+    for (const auto& [key, count] : multiset.by_edge[static_cast<std::size_t>(e)]) {
+      if (count == 0) continue;
+      for (const std::int64_t s : structures) seen.emplace_back(s, key);
+    }
+  }
+  std::sort(seen.begin(), seen.end());
+  return static_cast<std::size_t>(std::unique(seen.begin(), seen.end()) - seen.begin());
+}
+
+TEST(ImpactIndexInline, ScriptedTransitionsMatchPlainTreap) {
+  // One edge walks its structures through 0 -> 1 -> 2 -> 3 keys (inline,
+  // inline, promoted to a treap) and back down, with a key re-added after
+  // it drained and negative deltas that drain a key to exactly zero.
+  const Topology topology = inline_topology();
+  ImpactIndex index;
+  index.attach(topology);
+  index.begin_rebuild();
+  Multiset multiset;
+  multiset.by_edge.resize(static_cast<std::size_t>(topology.num_edges()));
+  const std::vector<double> keys = {0.5, 1.0 / 3.0, 2.0, 0.75};
+  const auto apply = [&](EdgeIndex e, double key, std::int64_t delta) {
+    const ReconfigEdge& edge = topology.edge(e);
+    index.add_chunks(edge.transmitter, edge.receiver, e, key, delta);
+    multiset.at(e, key) += delta;
+    expect_matches_oracle(index, topology, multiset, keys,
+                          "after " + std::to_string(delta) + " @ " + std::to_string(key));
+  };
+  apply(0, 0.5, 2);          // 0 -> 1 key
+  apply(0, 1.0 / 3.0, 1);    // 1 -> 2 keys, new key below the first
+  apply(0, 2.0, 3);          // 2 -> 3 keys: promoted
+  apply(0, 0.75, 1);         // 4 keys in the treap
+  apply(0, 0.75, -1);        // back to 3
+  apply(0, 1.0 / 3.0, -1);   // 3 -> 2: demoted
+  apply(0, 0.5, -2);         // 2 -> 1, the lower entry drained to zero
+  apply(0, 0.5, 4);          // the drained key comes back
+  apply(1, 0.5, 1);          // the parallel edge shares the pair structure
+  apply(0, 2.0, -3);
+  apply(0, 0.5, -4);
+  apply(1, 0.5, -1);         // everything drained
+  EXPECT_EQ(index.live_weight_keys(), 0u);
+  apply(2, 2.0, 1);          // a drained index takes keys again
+  EXPECT_EQ(index.live_weight_keys(), distinct_structure_keys(topology, multiset));
+}
+
+TEST(ImpactIndexInline, RandomSequencesMatchPlainTreapBitForBit) {
+  // Random add/remove streams over a small key pool keep every structure
+  // near the inline/treap boundary; each step is checked against oracle
+  // aggregates rebuilt from the multiset, and a decay -> rebuild cycle runs
+  // partway through each stream.
+  const Topology topology = inline_topology();
+  const std::vector<double> keys = {0.25, 0.5, 1.0 / 3.0, 1.0, 2.0};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    ImpactIndex index;
+    index.attach(topology);
+    index.begin_rebuild();
+    Multiset multiset;
+    multiset.by_edge.resize(static_cast<std::size_t>(topology.num_edges()));
+    const auto add = [&](EdgeIndex e, double key, std::int64_t delta) {
+      const ReconfigEdge& edge = topology.edge(e);
+      index.add_chunks(edge.transmitter, edge.receiver, e, key, delta);
+      multiset.at(e, key) += delta;
+    };
+    for (int step = 0; step < 300; ++step) {
+      const auto e = static_cast<EdgeIndex>(rng.next_below(5));
+      const double key = keys[rng.next_below(keys.size())];
+      const std::int64_t held = multiset.at(e, key);
+      if (held > 0 && rng.next_below(2) == 0) {
+        // Remove part or, half the time, all of it (a drain to zero).
+        const std::int64_t take =
+            rng.next_below(2) == 0 ? held
+                                   : 1 + static_cast<std::int64_t>(rng.next_below(
+                                             static_cast<std::uint64_t>(held)));
+        add(e, key, -take);
+      } else {
+        add(e, key, 1 + static_cast<std::int64_t>(rng.next_below(3)));
+      }
+      if (step % 3 == 0) {
+        const std::string where =
+            "seed " + std::to_string(seed) + " step " + std::to_string(step);
+        expect_matches_oracle(index, topology, multiset, keys, where);
+        if (::testing::Test::HasFatalFailure()) return;
+        EXPECT_EQ(index.live_weight_keys(), distinct_structure_keys(topology, multiset));
+      }
+      if (step == 150) {
+        // Churn with no query in between until the deferred queue decays
+        // the weight structures, then rebuild them from the multiset.
+        while (index.weight_ready()) {
+          add(0, keys[0], 1);
+          add(0, keys[0], -1);
+        }
+        EXPECT_EQ(index.live_weight_keys(), 0u);
+        index.begin_rebuild();
+        for (EdgeIndex f = 0; f < topology.num_edges(); ++f) {
+          const ReconfigEdge& edge = topology.edge(f);
+          for (const auto& [k, count] : multiset.by_edge[static_cast<std::size_t>(f)]) {
+            index.rebuild_add(edge.transmitter, edge.receiver, f, k, count);
+          }
+        }
+        expect_matches_oracle(index, topology, multiset, keys,
+                              "seed " + std::to_string(seed) + " after rebuild");
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(ImpactIndexInline, MisuseThrowsOnEveryRepresentation) {
+  // Removing at an absent key, or more chunks than a key holds, is an
+  // engine bug whichever representation the structure is in.
+  const Topology topology = inline_topology();
+  for (const int held_keys : {0, 1, 2, 3}) {
+    ImpactIndex index;
+    index.attach(topology);
+    index.begin_rebuild();
+    for (int k = 0; k < held_keys; ++k) index.add_chunks(0, 0, 0, 1.0 + k, 2);
+    index.add_chunks(0, 0, 0, 9.0, -1);
+    EXPECT_THROW(index.edge_split(0, 1.0), std::logic_error)
+        << held_keys << " keys, absent";
+    if (held_keys == 0) continue;
+    ImpactIndex over;
+    over.attach(topology);
+    over.begin_rebuild();
+    for (int k = 0; k < held_keys; ++k) over.add_chunks(0, 0, 0, 1.0 + k, 2);
+    over.add_chunks(0, 0, 0, 1.0, -3);
+    EXPECT_THROW(over.edge_split(0, 1.0), std::logic_error)
+        << held_keys << " keys, negative";
+  }
+}
+
+// --------------------------------------------------------------------------
 // 2. Differential: live index vs scan vs fresh rebuild, over real runs
 
 struct ZooCase {
@@ -242,7 +464,7 @@ TEST(ImpactIndexLifecycle, NonImpactPoliciesNeverEnableWeightStructures) {
   engine.run();
   EXPECT_FALSE(engine.impact_index().weight_ready());
   EXPECT_EQ(engine.impact_index().deferred_events(), 0u);
-  EXPECT_EQ(engine.impact_index().live_weight_nodes(), 0u);
+  EXPECT_EQ(engine.impact_index().live_weight_keys(), 0u);
 }
 
 TEST(ImpactIndexLifecycle, CountersDrainToZero) {

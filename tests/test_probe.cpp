@@ -18,11 +18,13 @@
 #include <vector>
 
 #include "helpers.hpp"
+#include "net/builders.hpp"
 #include "run/policies.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "sim/probe.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 #include "util/trace.hpp"
 
 namespace rdcn {
@@ -30,6 +32,7 @@ namespace {
 
 std::size_t index_of(Phase phase) { return static_cast<std::size_t>(phase); }
 std::size_t index_of(Counter counter) { return static_cast<std::size_t>(counter); }
+std::size_t index_of(Gauge gauge) { return static_cast<std::size_t>(gauge); }
 
 /// Spins until the steady clock advances, so every span has nonzero width
 /// even on coarse clocks.
@@ -204,6 +207,53 @@ TEST(Probe, EngineRunPopulatesCoherentReport) {
   const RunResult off = simulate(instance, *dispatcher, *scheduler, {});
   EXPECT_FALSE(off.probe.enabled);
   EXPECT_EQ(off.probe.counters[index_of(Counter::Rounds)], 0u);
+}
+
+TEST(Probe, WeightKeysGaugeCountsInlineKeysOfAShallowAlgRun) {
+  // At shallow queues almost every weight structure holds its keys inline
+  // (no treap node at all), so the gauge must count keys, not tree nodes:
+  // rounds with pending chunks report live keys, and the gauge agrees with
+  // the index it samples.
+  TwoTierConfig net;
+  net.racks = 8;
+  net.density = 1.0;
+  net.max_edge_delay = 1;
+  Rng topology_rng(1);
+  const Topology topology = build_two_tier(net, topology_rng);
+  const PolicyFactory policy = named_policy("alg");
+  auto dispatcher = policy.dispatcher();
+  auto scheduler = policy.scheduler(topology);
+  EngineOptions options;
+  options.probe.enabled = true;
+  Engine engine(topology, *dispatcher, *scheduler, options, [](RetiredPacket&&) {});
+  Rng rng(3);
+  PacketIndex id = 0;
+  std::size_t pending_rounds = 0;
+  std::size_t keyed_rounds = 0;
+  for (Time now = 1; now <= 400; ++now) {
+    engine.begin_step(&now);
+    for (int k = 0; k < 6; ++k) {  // about rho 0.4 on 16 lasers
+      Packet p;
+      p.id = id++;
+      p.arrival = now;
+      p.weight = static_cast<double>(1 + rng.next_below(10));
+      p.source = static_cast<NodeIndex>(rng.next_below(8));
+      p.destination = static_cast<NodeIndex>((p.source + 1 + rng.next_below(7)) % 8);
+      engine.inject(p);
+    }
+    engine.finish_step();
+    const ProbeReport report = engine.probe()->report();
+    const std::uint64_t keys = report.gauge_last[index_of(Gauge::WeightKeys)];
+    EXPECT_EQ(keys, engine.impact_index().live_weight_keys());
+    if (report.gauge_last[index_of(Gauge::PendingCandidates)] == 0) continue;
+    ++pending_rounds;
+    if (keys > 0) ++keyed_rounds;
+  }
+  ASSERT_GT(pending_rounds, 300u);
+  // The gauge reads the index as of its last flush (the step's last
+  // dispatch), so a round whose every chunk arrived after it can read 0.
+  EXPECT_GT(keyed_rounds, pending_rounds / 2);
+  EXPECT_EQ(to_string(Gauge::WeightKeys), std::string("weight_keys"));
 }
 
 TEST(Probe, TelemetryWindowsPartitionPhaseTime) {
