@@ -57,6 +57,8 @@ struct TwoTierConfig {
   Delay attach_delay = 0;        ///< delay of every attach edge
   Delay fixed_link_delay = 0;    ///< 0 = no hybrid layer
   bool allow_self_edges = false; ///< edges between a rack's own t and r
+
+  bool operator==(const TwoTierConfig&) const = default;
 };
 
 /// Builds the topology; guarantees every ordered rack pair (i != j) is
@@ -99,6 +101,8 @@ struct OversubscribedConfig {
   /// fixed_base_delay == 0 disables the hybrid layer entirely.
   Delay fixed_base_delay = 4;
   double oversubscription = 4.0;
+
+  bool operator==(const OversubscribedConfig&) const = default;
 };
 Topology build_oversubscribed(const OversubscribedConfig& config, Rng& rng);
 
@@ -120,6 +124,8 @@ struct ExpanderConfig {
   Delay max_edge_delay = 2;
   Delay attach_delay = 0;
   Delay fixed_link_delay = 8;  ///< 0 = pure expander, no hybrid fallback
+
+  bool operator==(const ExpanderConfig&) const = default;
 };
 Topology build_expander(const ExpanderConfig& config, Rng& rng);
 
@@ -137,6 +143,8 @@ struct RotorConfig {
   Delay edge_delay = 1;
   Delay attach_delay = 0;
   Delay fixed_link_delay = 0;
+
+  bool operator==(const RotorConfig&) const = default;
 };
 Topology build_rotor(const RotorConfig& config);
 

@@ -1,5 +1,6 @@
 #include "net/topology.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,6 +12,7 @@ NodeIndex Topology::add_sources(NodeIndex count) {
   const NodeIndex first = num_sources_;
   num_sources_ += count;
   transmitters_of_source_.resize(static_cast<std::size_t>(num_sources_));
+  if (!fixed_links_.empty()) index_fixed_links();
   return first;
 }
 
@@ -20,6 +22,7 @@ NodeIndex Topology::add_destinations(NodeIndex count) {
   const NodeIndex first = num_destinations_;
   num_destinations_ += count;
   receivers_of_destination_.resize(static_cast<std::size_t>(num_destinations_));
+  if (!fixed_links_.empty()) index_fixed_links();
   return first;
 }
 
@@ -69,13 +72,25 @@ void Topology::add_fixed_link(NodeIndex source, NodeIndex destination, Delay del
     throw std::out_of_range("bad destination index");
   }
   if (delay < 1) throw std::invalid_argument("fixed link delay must be >= 1");
-  for (auto& link : fixed_links_) {
-    if (link.source == source && link.destination == destination) {
-      link.delay = std::min(link.delay, delay);
-      return;
-    }
+  if (fixed_links_.empty()) index_fixed_links();
+  std::int32_t& at = fixed_link_at_[pair_slot(source, destination)];
+  if (at >= 0) {
+    Delay& known = fixed_links_[static_cast<std::size_t>(at)].delay;
+    known = std::min(known, delay);
+    return;
   }
+  at = static_cast<std::int32_t>(fixed_links_.size());
   fixed_links_.push_back(FixedLink{source, destination, delay});
+}
+
+void Topology::index_fixed_links() {
+  const std::size_t pairs = static_cast<std::size_t>(num_sources_) *
+                            static_cast<std::size_t>(num_destinations_);
+  fixed_link_at_.assign(pairs, -1);
+  for (std::size_t i = 0; i < fixed_links_.size(); ++i) {
+    fixed_link_at_[pair_slot(fixed_links_[i].source, fixed_links_[i].destination)] =
+        static_cast<std::int32_t>(i);
+  }
 }
 
 Delay Topology::total_edge_delay(EdgeIndex e) const {
@@ -122,33 +137,31 @@ void Topology::build_pair_cache() const {
   pair_cache_ready_ = true;
 }
 
-void Topology::candidate_edges_into(NodeIndex source, NodeIndex destination,
-                                    std::vector<EdgeIndex>& out) const {
+std::pair<std::size_t, std::size_t> Topology::pair_edge_span(
+    NodeIndex source, NodeIndex destination) const {
   if (source < 0 || source >= num_sources_) {
     throw std::out_of_range("candidate_edges_into: bad source index");
   }
-  out.clear();
-  if (destination < 0 || destination >= num_destinations_) return;  // no receiver maps there
+  // No receiver maps to an out-of-range destination.
+  if (destination < 0 || destination >= num_destinations_) return {0, 0};
   if (!pair_cache_ready_) build_pair_cache();
-  const auto p = static_cast<std::size_t>(source) * static_cast<std::size_t>(num_destinations_) +
-                 static_cast<std::size_t>(destination);
-  const auto begin = static_cast<std::size_t>(pair_offsets_[p]);
-  const auto end = static_cast<std::size_t>(pair_offsets_[p + 1]);
+  const std::size_t p = pair_slot(source, destination);
+  return {static_cast<std::size_t>(pair_offsets_[p]),
+          static_cast<std::size_t>(pair_offsets_[p + 1])};
+}
+
+void Topology::candidate_edges_into(NodeIndex source, NodeIndex destination,
+                                    std::vector<EdgeIndex>& out) const {
+  const auto [begin, end] = pair_edge_span(source, destination);
+  out.clear();
   out.insert(out.end(), pair_edges_.begin() + static_cast<std::ptrdiff_t>(begin),
              pair_edges_.begin() + static_cast<std::ptrdiff_t>(end));
 }
 
-std::optional<Delay> Topology::fixed_link_delay(NodeIndex source,
-                                                NodeIndex destination) const {
-  for (const auto& link : fixed_links_) {
-    if (link.source == source && link.destination == destination) return link.delay;
-  }
-  return std::nullopt;
-}
-
 bool Topology::routable(NodeIndex source, NodeIndex destination) const {
   if (fixed_link_delay(source, destination).has_value()) return true;
-  return !candidate_edges(source, destination).empty();
+  const auto [begin, end] = pair_edge_span(source, destination);
+  return end > begin;
 }
 
 std::string Topology::validate() const {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rdcn {
@@ -58,6 +59,7 @@ class Topology {
 
   /// Adds (or tightens) a fixed direct link between a source-destination
   /// pair. Keeping the minimum delay mirrors the model's single dℓ(p).
+  /// O(1): links are indexed by (source, destination).
   void add_fixed_link(NodeIndex source, NodeIndex destination, Delay delay);
 
   // --- queries ------------------------------------------------------------
@@ -108,8 +110,18 @@ class Topology {
   void candidate_edges_into(NodeIndex source, NodeIndex destination,
                             std::vector<EdgeIndex>& out) const;
 
-  /// dℓ for the pair, if a fixed direct link exists.
-  std::optional<Delay> fixed_link_delay(NodeIndex source, NodeIndex destination) const;
+  /// dℓ for the pair, if a fixed direct link exists. O(1); every dispatch
+  /// asks, so a topology without fixed links answers before any indexing.
+  std::optional<Delay> fixed_link_delay(NodeIndex source, NodeIndex destination) const {
+    if (fixed_links_.empty() || source < 0 || source >= num_sources_ || destination < 0 ||
+        destination >= num_destinations_) {
+      return std::nullopt;
+    }
+    const std::int32_t at = fixed_link_at_[pair_slot(source, destination)];
+    if (at < 0) return std::nullopt;
+    return fixed_links_[static_cast<std::size_t>(at)].delay;
+  }
+  /// Fixed links in first-add order (iteration and serialization).
   const std::vector<FixedLink>& fixed_links() const noexcept { return fixed_links_; }
 
   /// True if at least one route (reconfigurable or fixed) exists.
@@ -125,6 +137,19 @@ class Topology {
   /// per-transmitter edge order), so dispatch argmin tie-breaks -- and
   /// therefore schedules -- are unchanged.
   void build_pair_cache() const;
+  /// [begin, end) of E_p in pair_edges_, building the cache on first use;
+  /// empty when no receiver maps to `destination`. Throws on a bad source.
+  std::pair<std::size_t, std::size_t> pair_edge_span(NodeIndex source,
+                                                     NodeIndex destination) const;
+  /// Row-major slot of an in-range (source, destination) pair.
+  std::size_t pair_slot(NodeIndex source, NodeIndex destination) const noexcept {
+    return static_cast<std::size_t>(source) *
+               static_cast<std::size_t>(num_destinations_) +
+           static_cast<std::size_t>(destination);
+  }
+  /// Re-lays fixed_link_at_ out for the current source/destination counts.
+  void index_fixed_links();
+
   NodeIndex num_sources_ = 0;
   NodeIndex num_destinations_ = 0;
 
@@ -140,6 +165,9 @@ class Topology {
   std::vector<std::vector<NodeIndex>> receivers_of_destination_;
 
   std::vector<FixedLink> fixed_links_;
+  /// (source, destination) slot -> index into fixed_links_, -1 for none;
+  /// laid out only once the first fixed link is added.
+  std::vector<std::int32_t> fixed_link_at_;
 
   // candidate_edges_into is the per-dispatch inner loop; the uncached scan
   // over every edge of the source's transmitters dominated end-to-end

@@ -1,10 +1,12 @@
 #include "run/batch.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -117,18 +119,65 @@ bool run_with_retries(const RunPolicy& policy, DeadlineWatchdog* watchdog,
                    (more > 1 ? "s" : "") + " failed)");
 }
 
+/// Scenario cells can share a repetition's instance; streamed cells build
+/// none to share.
+template <typename CellT>
+constexpr bool kSharesInstances =
+    requires(const CellT& cell) { cell.shares_instances(cell); };
+
+/// Partitions cells into the groups that run one task per repetition.
+/// Scenario cells that build the same instances (Cell::shares_instances)
+/// form a group, in add() order, groups ordered by their first cell. Such
+/// a run is one task per (group, repetition); when that is fewer tasks
+/// than `workers`, grouping would idle workers that per-cell tasks keep
+/// busy, so every cell runs alone instead, as streamed cells always do.
+template <typename CellT>
+std::vector<std::vector<std::size_t>> task_groups(const std::vector<CellT>& cells,
+                                                  std::size_t workers) {
+  std::vector<std::vector<std::size_t>> groups;
+  if constexpr (kSharesInstances<CellT>) {
+    std::size_t grouped_tasks = 0;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      const auto group =
+          std::find_if(groups.begin(), groups.end(), [&](const auto& members) {
+            return cells[members.front()].shares_instances(cells[c]);
+          });
+      if (group == groups.end()) {
+        groups.push_back({c});
+        grouped_tasks += cells[c].runner.spec().repetitions;
+      } else {
+        group->push_back(c);
+      }
+    }
+    if (grouped_tasks >= workers) return groups;
+    groups.clear();
+  }
+  for (std::size_t c = 0; c < cells.size(); ++c) groups.push_back({c});
+  return groups;
+}
+
 }  // namespace
+
+bool BatchRunner::Cell::shares_instances(const Cell& other) const {
+  const ScenarioSpec& a = runner.spec();
+  const ScenarioSpec& b = other.runner.spec();
+  if (a.make_instance || b.make_instance) return false;  // functions do not compare
+  WorkloadConfig workload = b.workload;
+  workload.seed = a.workload.seed;  // overridden by the repetition seed
+  return a.topology == b.topology && a.workload == workload &&
+         a.base_seed == b.base_seed && a.repetitions == b.repetitions;
+}
 
 template <typename CellT, typename Result>
 std::vector<Result> BatchRunner::run_cells(
     std::vector<CellT>& cells,
     const std::function<void(std::size_t, const Result&)>& on_cell_done) {
-  using Outcome = decltype(cells.front().run(0, nullptr));
-  // Preassign every repetition a slot, then fan the (cell, repetition)
-  // tasks out; tasks only write their own slot, so outcome writes need no
-  // locking. The last repetition of a cell (acq_rel countdown) folds the
-  // cell's aggregate in seed order -- deterministic regardless of worker
-  // scheduling -- and fires the completion callback.
+  using Outcome = typename decltype(Result::repetitions)::value_type;
+  // Preassign every repetition a slot, then fan the (group, repetition)
+  // tasks out; tasks only write their cells' own slots, so outcome writes
+  // need no locking. The last repetition of a cell (acq_rel countdown)
+  // folds the cell's aggregate in seed order -- deterministic regardless
+  // of grouping and worker scheduling -- and fires the completion callback.
   const std::size_t num_cells = cells.size();
   std::vector<std::vector<Outcome>> outcomes(num_cells);
   std::vector<Result> results(num_cells);
@@ -155,36 +204,47 @@ std::vector<Result> BatchRunner::run_cells(
     if (on_cell_done && (!result.error.failed || isolate)) on_cell_done(c, result);
   };
 
+  for (std::size_t c = 0; c < num_cells; ++c) {
+    outcomes[c].resize(cells[c].runner.seeds().size());
+    remaining[c].store(outcomes[c].size(), std::memory_order_relaxed);
+  }
+  const std::vector<std::vector<std::size_t>> groups =
+      task_groups(cells, pool_.thread_count());
+
   struct Task {
-    std::size_t cell;
+    std::size_t group;
     std::size_t rep;
     std::uint64_t seed;
   };
   std::vector<Task> tasks;
-  for (std::size_t c = 0; c < num_cells; ++c) {
-    const auto seeds = cells[c].runner.seeds();
-    outcomes[c].resize(seeds.size());
-    remaining[c].store(seeds.size(), std::memory_order_relaxed);
-    for (std::size_t r = 0; r < seeds.size(); ++r) {
-      tasks.push_back(Task{c, r, seeds[r]});
-    }
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const auto seeds = cells[groups[g].front()].runner.seeds();
+    for (std::size_t r = 0; r < seeds.size(); ++r) tasks.push_back(Task{g, r, seeds[r]});
   }
 
   // Pool tasks must not throw (std::terminate otherwise), but engines do
   // on documented paths (starvation guard, scheduler contract violations,
   // deadline cancellation): every definitive failure lands in the ledger
-  // and the failure policy decides after the drain.
+  // and the failure policy decides after the drain. The group's cells run
+  // in add() order, each with its own attempt loop; the shared instance is
+  // built inside the first attempt that needs it, so a build that throws
+  // fails that attempt and is tried again by the next cell.
   for (const Task& task : tasks) {
-    pool_.submit([this, task, &cells, &outcomes, &ledger, &remaining, &finalize_cell,
-                  &cell_label] {
-      const std::string name = policy_.fault_hook ? cell_label(task.cell) : std::string();
-      run_with_retries(policy_, watchdog_.get(), name, task.cell, task.rep, ledger,
-                       [&](const CancelToken* cancel) {
-                         outcomes[task.cell][task.rep] =
-                             cells[task.cell].run(task.seed, cancel);
-                       });
-      if (remaining[task.cell].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        finalize_cell(task.cell);
+    pool_.submit([this, task, &cells, &groups, &outcomes, &ledger, &remaining,
+                  &finalize_cell, &cell_label] {
+      std::optional<Instance> instance;
+      for (const std::size_t c : groups[task.group]) {
+        const std::string name = policy_.fault_hook ? cell_label(c) : std::string();
+        run_with_retries(
+            policy_, watchdog_.get(), name, c, task.rep, ledger,
+            [&](const CancelToken* cancel) {
+              if constexpr (kSharesInstances<CellT>) {
+                outcomes[c][task.rep] = cells[c].run(task.seed, cancel, instance);
+              } else {
+                outcomes[c][task.rep] = cells[c].run(task.seed, cancel);
+              }
+            });
+        if (remaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1) finalize_cell(c);
       }
     });
   }

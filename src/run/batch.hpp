@@ -1,14 +1,23 @@
 #pragma once
 
 // BatchRunner: fans a grid of (scenario x policy) cells out over the
-// shared thread pool, one task per repetition. Results are deterministic
-// and independent of worker scheduling: every repetition's outcome lands
-// in its preassigned slot, and the cell's runner folds them in seed order
-// (ScenarioRunner::aggregate / StreamRunner::aggregate, the same fold the
-// sequential run() uses). Streamed (open-loop) cells queue separately via
-// add_stream and drain via run_streams; both kinds go through one fan-out
-// body (run_cells), so ledger, retry, deadline, finalize and fail-fast
-// behave identically, and each run drains only its own queue.
+// shared thread pool. Scenario cells whose repetitions build identical
+// instances -- equal topology, workload (seed aside), base seed and
+// repetition count; never a make_instance spec -- form a group, and each
+// repetition of a group is one pool task: it builds the instance once and
+// runs every cell of the group on it in turn, on one worker (an instance
+// is never shared across workers). When a run's groups add up to fewer
+// (group, repetition) tasks than the pool has workers, every cell runs one
+// task per repetition instead, so small grids stay parallel; streamed
+// cells always do. Results are
+// deterministic and independent of grouping and worker scheduling: every
+// repetition's outcome lands in its preassigned slot, and the cell's
+// runner folds them in seed order (ScenarioRunner::aggregate /
+// StreamRunner::aggregate, the same fold the sequential run() uses).
+// Streamed (open-loop) cells queue separately via add_stream and drain
+// via run_streams; both kinds go through one fan-out body (run_cells), so
+// ledger, retry, deadline, finalize and fail-fast behave identically,
+// and each run drains only its own queue.
 //
 // Fault tolerance (run/failure.hpp): set_policy configures what a
 // throwing cell does to its siblings (fail_fast rethrows the first
@@ -18,13 +27,17 @@
 // bit-identical to a fault-free run), an optional per-repetition
 // wall-clock deadline (cooperative: the engine cancels at the next step
 // boundary), and bounded seed-preserving retry with exponential backoff
-// for transient failures. The per-cell completion callbacks exist for
-// crash-safe journaling: SuiteRunner appends each cell's row the moment
-// its last repetition lands, not when the whole grid drains.
+// for transient failures. All of it stays per cell inside a group: each
+// cell runs its own attempt loop, fault hook and deadline, and an
+// instance build that throws fails every cell of the group that tries it.
+// The per-cell completion callbacks exist for crash-safe journaling:
+// SuiteRunner appends each cell's row the moment its last repetition
+// lands, not when the whole grid drains (a group's cells land together).
 
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "run/failure.hpp"
@@ -95,8 +108,15 @@ class BatchRunner {
     ScenarioRunner runner;
     PolicyFactory policy;
     RepMetric metric;
-    RepetitionOutcome run(std::uint64_t seed, const CancelToken* cancel) const {
-      return runner.run_repetition(policy, seed, metric, cancel);
+    /// True when this cell's repetitions build the same instances as
+    /// `other`'s (the grouping key; engine options play no part).
+    bool shares_instances(const Cell& other) const;
+    /// Runs one repetition on `instance`, building it first when this is
+    /// the first cell of its group's task to need it.
+    RepetitionOutcome run(std::uint64_t seed, const CancelToken* cancel,
+                          std::optional<Instance>& instance) const {
+      if (!instance) instance.emplace(runner.instance(seed));
+      return runner.run_repetition(policy, *instance, seed, metric, cancel);
     }
   };
   struct StreamCell {
@@ -108,9 +128,10 @@ class BatchRunner {
   };
 
   /// The fan-out body behind run() and run_streams(): runs every
-  /// repetition of every cell in `cells` on the pool, folds each cell's
-  /// result the moment its last repetition lands, applies the failure
-  /// policy after the drain, and clears `cells`.
+  /// repetition of every cell in `cells` on the pool, one task per
+  /// repetition of each instance group, folds each cell's result the
+  /// moment its last repetition lands, applies the failure policy after
+  /// the drain, and clears `cells`.
   template <typename CellT, typename Result>
   std::vector<Result> run_cells(
       std::vector<CellT>& cells,

@@ -83,10 +83,10 @@ void ScenarioRunner::each_instance(
 }
 
 RepetitionOutcome ScenarioRunner::run_repetition(const PolicyFactory& policy,
+                                                 const Instance& inst,
                                                  std::uint64_t rep_seed,
                                                  const RepMetric& metric,
                                                  const CancelToken* cancel) const {
-  const Instance inst = instance(rep_seed);
   auto dispatcher = policy.dispatcher();
   auto scheduler = policy.scheduler(inst.topology());
   EngineOptions engine_options = spec_.engine;
@@ -128,7 +128,7 @@ ScenarioResult ScenarioRunner::run(const PolicyFactory& policy, RepMetric metric
   std::vector<RepetitionOutcome> outcomes;
   outcomes.reserve(spec_.repetitions);
   for (const std::uint64_t seed : seeds()) {
-    outcomes.push_back(run_repetition(policy, seed, metric));
+    outcomes.push_back(run_repetition(policy, instance(seed), seed, metric));
   }
   return aggregate(policy, std::move(outcomes));
 }

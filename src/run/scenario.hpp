@@ -6,7 +6,8 @@
 // instead of hand-rolling instance construction. A scenario is
 // deterministic given its seeds: repetition i regenerates the same
 // instance bit-for-bit, so policies compared on the same spec are paired
-// by construction.
+// by construction. BatchRunner relies on this: cells whose specs build
+// identical instances share one build per repetition (run/batch.hpp).
 
 #include <cstdint>
 #include <functional>
@@ -43,6 +44,8 @@ struct TopologySpec {
   /// false: every repetition rewires from (repetition seed, salt).
   /// Crossbar and Rotor wirings are deterministic, so both settings agree.
   bool fixed_wiring = false;
+
+  bool operator==(const TopologySpec&) const = default;
 };
 
 /// Registry-style names of the topology kinds, shared by suite files, CLI
@@ -153,11 +156,13 @@ class ScenarioRunner {
 
  private:
   friend class BatchRunner;
-  /// `cancel` (nullable) is handed to the engine, which throws
+  /// Runs repetition `rep_seed` on `instance`, which must be
+  /// instance(rep_seed) -- BatchRunner builds it once for every cell that
+  /// shares it. `cancel` (nullable) is handed to the engine, which throws
   /// CancelledError at the first step boundary after it fires -- the
   /// BatchRunner deadline path; the spec's own engine.cancel is ignored.
-  RepetitionOutcome run_repetition(const PolicyFactory& policy, std::uint64_t rep_seed,
-                                   const RepMetric& metric,
+  RepetitionOutcome run_repetition(const PolicyFactory& policy, const Instance& instance,
+                                   std::uint64_t rep_seed, const RepMetric& metric,
                                    const CancelToken* cancel = nullptr) const;
 
   ScenarioSpec spec_;

@@ -81,7 +81,10 @@ void DeadlineWatchdog::loop() {
       entries_.erase(earliest);
       continue;
     }
-    wake_.wait_until(lock, earliest->deadline);
+    // wait_until reads its deadline again after waking, by which time an
+    // arm() may have reallocated entries_: wait on a copy.
+    const auto deadline = earliest->deadline;
+    wake_.wait_until(lock, deadline);
   }
 }
 

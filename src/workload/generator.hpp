@@ -51,6 +51,8 @@ struct WorkloadConfig {
   bool bursty = false;
   double burst_off_prob = 0.7;
   std::uint64_t seed = 1;
+
+  bool operator==(const WorkloadConfig&) const = default;
 };
 
 /// Samples (source, destination) endpoint pairs over a topology's routable

@@ -162,6 +162,70 @@ TEST(ConcurrencyStress, BatchGridManyThreadsMatchesSequential) {
   }
 }
 
+TEST(ConcurrencyStress, GroupedGridsMatchSequential) {
+  // Instance groups on a wide pool: two specs that group (policy grids
+  // differing in engine options ride along), a third that differs in one
+  // workload field, a make_instance twin that never groups, and a fault
+  // aimed at one grouped cell under isolate. Each group repetition builds
+  // its instance once and runs its cells on one worker, while the cells'
+  // countdowns, ledger slots and completion callbacks race across groups.
+  const std::size_t reps = 8;
+  ScenarioSpec base = stress_spec(reps);
+  ScenarioSpec speedup = base;
+  speedup.name = "speedup";
+  speedup.engine.speedup_rounds = 2;
+  ScenarioSpec heavier = base;
+  heavier.name = "heavier";
+  heavier.workload.num_packets += 10;
+  ScenarioSpec bespoke = base;
+  bespoke.name = "bespoke";
+  bespoke.make_instance = [](std::uint64_t rep_seed) {
+    return ScenarioRunner(stress_spec()).instance(rep_seed);
+  };
+  const std::vector<ScenarioSpec> specs = {base, speedup, heavier, bespoke};
+  const std::vector<PolicyFactory> policies = {
+      named_policy("alg"), named_policy("maxweight"), named_policy("islip"),
+      named_policy("jsq")};
+
+  RunPolicy isolate;
+  isolate.failure = FailurePolicy::Isolate;
+  isolate.fault_hook = [](const std::string& cell, std::size_t rep, const CancelToken*) {
+    if (cell == "speedup x maxweight" && rep == 5) throw std::runtime_error("aimed");
+  };
+  BatchRunner batch(4);
+  batch.set_policy(isolate);
+  for (int round = 0; round < 3; ++round) {
+    for (const ScenarioSpec& spec : specs) batch.add_grid(spec, policies);
+    std::atomic<std::size_t> done{0};
+    const auto results =
+        batch.run([&done](std::size_t, const ScenarioResult&) { done.fetch_add(1); });
+    ASSERT_EQ(results.size(), specs.size() * policies.size()) << "round " << round;
+    EXPECT_EQ(done.load(), results.size());
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+      const ScenarioRunner runner(specs[s]);
+      for (std::size_t p = 0; p < policies.size(); ++p) {
+        const ScenarioResult& got = results[s * policies.size() + p];
+        if (specs[s].name == "speedup" && policies[p].name == "maxweight") {
+          EXPECT_TRUE(got.error.failed);
+          EXPECT_EQ(got.error.repetition, 5u);
+          continue;
+        }
+        ASSERT_FALSE(got.error.failed) << got.scenario << " x " << got.policy;
+        const ScenarioResult sequential = runner.run(policies[p]);
+        ASSERT_EQ(got.repetitions.size(), sequential.repetitions.size());
+        for (std::size_t i = 0; i < sequential.repetitions.size(); ++i) {
+          EXPECT_EQ(got.repetitions[i].total_cost, sequential.repetitions[i].total_cost)
+              << got.scenario << " x " << got.policy << " rep " << i;
+          EXPECT_EQ(got.repetitions[i].makespan, sequential.repetitions[i].makespan)
+              << got.scenario << " x " << got.policy << " rep " << i;
+        }
+        EXPECT_EQ(got.probe.counters, sequential.probe.counters)
+            << got.scenario << " x " << got.policy;
+      }
+    }
+  }
+}
+
 TEST(ConcurrencyStress, BatchFailureUnderLoadRethrowsAndRecovers) {
   // One poisoned cell among healthy ones, repeatedly, on a wide pool: the
   // exception path (capture, all-or-nothing rethrow, queue clear) runs

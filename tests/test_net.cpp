@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -57,6 +60,84 @@ TEST(Topology, FixedLinkKeepsMinimumDelay) {
   g.add_fixed_link(0, 0, 7);
   EXPECT_EQ(g.fixed_link_delay(0, 0), std::optional<Delay>(4));
   EXPECT_EQ(g.fixed_links().size(), 1u);
+}
+
+TEST(Topology, FixedLinkIndexMatchesALinearScan) {
+  // Random adds with many duplicates, plus sources and destinations added
+  // after the first link (the index re-lays itself out). Every lookup,
+  // in range or not, must equal a scan of fixed_links(), and that list
+  // must hold each pair once, in first-add order, at its minimum delay.
+  Topology g;
+  g.add_sources(3);
+  g.add_destinations(4);
+  Rng rng(17);
+  std::vector<FixedLink> expected;
+  const auto add = [&](NodeIndex s, NodeIndex d, Delay delay) {
+    g.add_fixed_link(s, d, delay);
+    for (FixedLink& link : expected) {
+      if (link.source == s && link.destination == d) {
+        link.delay = std::min(link.delay, delay);
+        return;
+      }
+    }
+    expected.push_back(FixedLink{s, d, delay});
+  };
+  const auto random_adds = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      add(static_cast<NodeIndex>(rng.next_int(0, g.num_sources() - 1)),
+          static_cast<NodeIndex>(rng.next_int(0, g.num_destinations() - 1)),
+          rng.next_int(1, 20));
+    }
+  };
+  random_adds(40);
+  g.add_sources(2);
+  random_adds(40);
+  g.add_destinations(3);
+  random_adds(80);
+
+  ASSERT_EQ(g.fixed_links().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(g.fixed_links()[i].source, expected[i].source) << i;
+    EXPECT_EQ(g.fixed_links()[i].destination, expected[i].destination) << i;
+    EXPECT_EQ(g.fixed_links()[i].delay, expected[i].delay) << i;
+  }
+  for (NodeIndex s = -1; s <= g.num_sources(); ++s) {
+    for (NodeIndex d = -1; d <= g.num_destinations(); ++d) {
+      std::optional<Delay> scan;
+      for (const FixedLink& link : g.fixed_links()) {
+        if (link.source == s && link.destination == d) scan = link.delay;
+      }
+      EXPECT_EQ(g.fixed_link_delay(s, d), scan) << s << "->" << d;
+    }
+  }
+}
+
+TEST(Topology, RoutableAgreesWithAnEdgeScan) {
+  // Oracle: a fixed link, or any reconfigurable edge whose transmitter
+  // hangs off the source and whose receiver feeds the destination.
+  Rng rng(5);
+  TwoTierConfig config;
+  config.racks = 6;
+  config.density = 0.15;
+  const Topology sparse = build_two_tier(config, rng);
+  config.fixed_link_delay = 6;
+  const Topology hybrid = build_two_tier(config, rng);
+  for (const Topology* g : {&sparse, &hybrid}) {
+    for (NodeIndex s = 0; s < g->num_sources(); ++s) {
+      for (NodeIndex d = -1; d <= g->num_destinations(); ++d) {
+        bool expected = false;
+        for (const FixedLink& link : g->fixed_links()) {
+          expected = expected || (link.source == s && link.destination == d);
+        }
+        for (const ReconfigEdge& edge : g->edges()) {
+          expected = expected || (g->source_of(edge.transmitter) == s &&
+                                  g->destination_of(edge.receiver) == d);
+        }
+        EXPECT_EQ(g->routable(s, d), expected) << s << "->" << d;
+      }
+    }
+    EXPECT_THROW(static_cast<void>(g->routable(-1, 0)), std::out_of_range);
+  }
 }
 
 TEST(Topology, RejectsInvalidArguments) {

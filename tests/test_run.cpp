@@ -5,13 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "helpers.hpp"
 #include "run/batch.hpp"
@@ -269,6 +274,276 @@ TEST(BatchRunner, MetricsTravelThroughThePool) {
             });
   const auto results = batch.run();
   EXPECT_DOUBLE_EQ(results.at(0).metric.mean(), 30.0);
+}
+
+// ----------------------------------------------- BatchRunner instance groups --
+
+/// Every repetition field but the wall clock, bit for bit.
+void expect_same_repetitions(const ScenarioResult& got, const ScenarioResult& want) {
+  ASSERT_EQ(got.repetitions.size(), want.repetitions.size()) << got.policy;
+  for (std::size_t i = 0; i < want.repetitions.size(); ++i) {
+    const RepetitionOutcome& a = got.repetitions[i];
+    const RepetitionOutcome& b = want.repetitions[i];
+    EXPECT_EQ(a.seed, b.seed) << got.policy << " rep " << i;
+    EXPECT_EQ(a.total_cost, b.total_cost) << got.policy << " rep " << i;
+    EXPECT_EQ(a.reconfig_cost, b.reconfig_cost) << got.policy << " rep " << i;
+    EXPECT_EQ(a.fixed_cost, b.fixed_cost) << got.policy << " rep " << i;
+    EXPECT_EQ(a.makespan, b.makespan) << got.policy << " rep " << i;
+    EXPECT_EQ(a.steps_simulated, b.steps_simulated) << got.policy << " rep " << i;
+    EXPECT_EQ(a.metric, b.metric) << got.policy << " rep " << i;
+  }
+  EXPECT_EQ(got.cost.mean(), want.cost.mean()) << got.policy;
+  EXPECT_EQ(got.metric.mean(), want.metric.mean()) << got.policy;
+}
+
+const std::vector<PolicyFactory>& four_policies() {
+  static const std::vector<PolicyFactory> policies = {
+      named_policy("alg"), named_policy("maxweight"), named_policy("islip"),
+      named_policy("jsq")};
+  return policies;
+}
+
+TEST(BatchRunner, GroupedGridIsBitIdenticalToSequentialRuns) {
+  // One spec, four policies: the cells share each repetition's instance.
+  const ScenarioRunner runner(small_spec());
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    BatchRunner batch(threads);
+    batch.add_grid(small_spec(), four_policies());
+    const auto results = batch.run();
+    ASSERT_EQ(results.size(), four_policies().size());
+    for (std::size_t p = 0; p < results.size(); ++p) {
+      SCOPED_TRACE(threads);
+      EXPECT_EQ(results[p].policy, four_policies()[p].name);
+      expect_same_repetitions(results[p], runner.run(four_policies()[p]));
+    }
+  }
+}
+
+/// Runs one alg cell per spec on a one-worker pool and returns the fault
+/// hook's "cell#rep" log. One worker runs tasks in submission order, so a
+/// group shows as its cells interleaved repetition by repetition, and
+/// separate cells as each cell's repetitions in a row.
+std::vector<std::string> hook_order(const std::vector<ScenarioSpec>& specs) {
+  std::vector<std::string> log;
+  BatchRunner batch(1);
+  RunPolicy policy;
+  policy.fault_hook = [&log](const std::string& cell, std::size_t rep,
+                             const CancelToken*) {
+    log.push_back(cell + "#" + std::to_string(rep));
+  };
+  batch.set_policy(policy);
+  for (const ScenarioSpec& spec : specs) batch.add(spec, alg_policy());
+  const auto results = batch.run();
+  for (std::size_t c = 0; c < specs.size(); ++c) {
+    expect_same_repetitions(results[c], ScenarioRunner(specs[c]).run(alg_policy()));
+  }
+  return log;
+}
+
+TEST(BatchRunner, OnlySpecsBuildingTheSameInstancesGroup) {
+  ScenarioSpec a = small_spec();
+  a.name = "a";
+  a.repetitions = 2;
+  const std::vector<std::string> grouped = {"a x alg#0", "b x alg#0", "a x alg#1",
+                                            "b x alg#1"};
+  const std::vector<std::string> separate = {"a x alg#0", "a x alg#1", "b x alg#0",
+                                             "b x alg#1"};
+  const auto variant = [&a](const std::function<void(ScenarioSpec&)>& change) {
+    ScenarioSpec b = a;
+    b.name = "b";
+    change(b);
+    return std::vector<ScenarioSpec>{a, b};
+  };
+
+  // The workload seed is overridden per repetition, and engine options do
+  // not shape the instance: these still share it.
+  EXPECT_EQ(hook_order(variant([](ScenarioSpec&) {})), grouped);
+  EXPECT_EQ(hook_order(variant([](ScenarioSpec& b) { b.workload.seed = 99; })), grouped);
+  EXPECT_EQ(hook_order(variant([](ScenarioSpec& b) { b.engine.speedup_rounds = 2; })),
+            grouped);
+
+  const std::vector<std::function<void(ScenarioSpec&)>> one_field_apart = {
+      [](ScenarioSpec& b) { b.workload.num_packets += 1; },
+      [](ScenarioSpec& b) { b.workload.zipf_exponent = 1.3; },
+      [](ScenarioSpec& b) { b.workload.skew = PairSkew::Hotspot; },
+      [](ScenarioSpec& b) { b.topology.two_tier.density = 0.7; },
+      [](ScenarioSpec& b) { b.topology.oversubscribed.racks = 9; },  // unused by two_tier
+      [](ScenarioSpec& b) { b.topology.seed_salt = 1; },
+      [](ScenarioSpec& b) { b.base_seed = 2; },
+  };
+  for (std::size_t i = 0; i < one_field_apart.size(); ++i) {
+    EXPECT_EQ(hook_order(variant(one_field_apart[i])), separate) << "variant " << i;
+  }
+
+  // A bespoke builder cannot be compared, so it never groups -- not even
+  // with a copy of itself.
+  a.make_instance = [](std::uint64_t rep_seed) {
+    return ScenarioRunner(small_spec()).instance(rep_seed);
+  };
+  EXPECT_EQ(hook_order(variant([](ScenarioSpec&) {})), separate);
+}
+
+/// One fault hook call: which cell, which repetition, on which worker.
+struct HookCall {
+  std::string cell;
+  std::size_t rep;
+  std::thread::id worker;
+};
+
+TEST(BatchRunner, FewRepetitionsStillGroupWhenTheRunFillsThePool) {
+  // Two repetitions on four workers, but three groups of two cells make
+  // six grouped tasks: enough to fill the pool, so the cells group. Each
+  // group repetition then shows as its two cells' hooks back to back on
+  // one worker. The hooks sleep so that per-cell tasks would spread over
+  // the workers instead.
+  std::vector<ScenarioSpec> specs;
+  for (const std::size_t packets : {30u, 31u, 32u}) {
+    ScenarioSpec spec = small_spec();
+    spec.name = "p" + std::to_string(packets);
+    spec.workload.num_packets = packets;
+    spec.repetitions = 2;
+    specs.push_back(spec);
+  }
+  const std::vector<PolicyFactory> policies = {alg_policy(), named_policy("islip")};
+  std::mutex mutex;
+  std::vector<HookCall> calls;
+  RunPolicy policy;
+  policy.fault_hook = [&](const std::string& cell, std::size_t rep, const CancelToken*) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const std::lock_guard<std::mutex> lock(mutex);
+    calls.push_back(HookCall{cell, rep, std::this_thread::get_id()});
+  };
+  BatchRunner batch(4);
+  batch.set_policy(policy);
+  for (const ScenarioSpec& spec : specs) batch.add_grid(spec, policies);
+  const auto results = batch.run();
+
+  ASSERT_EQ(calls.size(), specs.size() * policies.size() * 2);
+  for (const ScenarioSpec& spec : specs) {
+    for (std::size_t rep = 0; rep < 2; ++rep) {
+      const std::string first = spec.name + " x " + policies[0].name;
+      const std::string second = spec.name + " x " + policies[1].name;
+      const auto at = std::find_if(calls.begin(), calls.end(), [&](const HookCall& call) {
+        return call.cell == first && call.rep == rep;
+      });
+      ASSERT_NE(at, calls.end()) << first << " rep " << rep;
+      // The same worker's next call is the group sibling's.
+      const auto next =
+          std::find_if(std::next(at), calls.end(),
+                       [&](const HookCall& call) { return call.worker == at->worker; });
+      ASSERT_NE(next, calls.end()) << first << " rep " << rep;
+      EXPECT_EQ(next->cell, second) << first << " rep " << rep;
+      EXPECT_EQ(next->rep, rep) << first << " rep " << rep;
+    }
+  }
+  for (std::size_t c = 0; c < results.size(); ++c) {
+    expect_same_repetitions(results[c], ScenarioRunner(specs[c / policies.size()])
+                                            .run(policies[c % policies.size()]));
+  }
+}
+
+TEST(BatchRunner, RunWithFewerGroupTasksThanWorkersRunsEveryCellAlone) {
+  // One group of two cells with two repetitions on four workers: grouped,
+  // that is two tasks for four workers, so each (cell, repetition) is its
+  // own task instead. All four hooks must then be in flight at once, which
+  // a grouped run (two cells in a row on one worker) could never reach.
+  ScenarioSpec spec = small_spec();
+  spec.repetitions = 2;
+  const std::vector<PolicyFactory> policies = {alg_policy(), named_policy("islip")};
+  std::mutex mutex;
+  std::condition_variable all_in;
+  std::size_t arrived = 0;
+  std::atomic<std::size_t> met{0};
+  RunPolicy policy;
+  policy.fault_hook = [&](const std::string&, std::size_t, const CancelToken*) {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++arrived;
+    all_in.notify_all();
+    if (all_in.wait_for(lock, std::chrono::seconds(10), [&] { return arrived == 4; })) {
+      met.fetch_add(1);
+    }
+  };
+  BatchRunner batch(4);
+  batch.set_policy(policy);
+  batch.add_grid(spec, policies);
+  const auto results = batch.run();
+  EXPECT_EQ(met.load(), 4u);
+  const ScenarioRunner runner(spec);
+  for (std::size_t p = 0; p < policies.size(); ++p) {
+    expect_same_repetitions(results[p], runner.run(policies[p]));
+  }
+}
+
+TEST(BatchRunner, IsolatedInstanceBuildFailureFailsEveryCellOfTheGroup) {
+  // The expander builder rejects degree >= racks, so every repetition's
+  // build throws; each cell of the group records that failure at the
+  // first repetition, and the healthy group beside it is untouched.
+  ScenarioSpec broken = small_spec();
+  broken.name = "broken";
+  broken.topology.kind = TopologySpec::Kind::Expander;
+  broken.topology.expander.racks = 4;
+  broken.topology.expander.degree = 5;
+  std::string expected_message;
+  try {
+    static_cast<void>(ScenarioRunner(broken).instance(broken.base_seed));
+  } catch (const std::invalid_argument& error) {
+    expected_message = error.what();
+  }
+  ASSERT_FALSE(expected_message.empty());
+
+  BatchRunner batch(2);
+  RunPolicy policy;
+  policy.failure = FailurePolicy::Isolate;
+  batch.set_policy(policy);
+  batch.add_grid(broken, four_policies());
+  batch.add_grid(small_spec(), four_policies());
+  const auto results = batch.run();
+  ASSERT_EQ(results.size(), 2 * four_policies().size());
+  const ScenarioRunner healthy(small_spec());
+  for (std::size_t p = 0; p < four_policies().size(); ++p) {
+    const CellError& error = results[p].error;
+    EXPECT_TRUE(error.failed) << results[p].policy;
+    EXPECT_EQ(error.type, "std::invalid_argument");
+    EXPECT_EQ(error.message, expected_message);
+    EXPECT_EQ(error.repetition, 0u);
+    EXPECT_EQ(error.attempts, 1);
+    EXPECT_TRUE(results[p].repetitions.empty());
+
+    const ScenarioResult& sibling = results[four_policies().size() + p];
+    EXPECT_FALSE(sibling.error.failed);
+    expect_same_repetitions(sibling, healthy.run(four_policies()[p]));
+  }
+}
+
+TEST(BatchRunner, FaultAimedAtOneCellLeavesItsGroupBitIdentical) {
+  // Aim at the group's first cell (whose attempt would build the shared
+  // instance) and at a later one; either way the other three cells match
+  // sequential runs bit for bit.
+  const ScenarioRunner runner(small_spec());
+  for (const std::string target : {"alg", "islip"}) {
+    SCOPED_TRACE(target);
+    BatchRunner batch(2);
+    RunPolicy policy;
+    policy.failure = FailurePolicy::Isolate;
+    policy.fault_hook = [target](const std::string& cell, std::size_t rep,
+                                 const CancelToken*) {
+      if (cell == "small x " + target && rep == 1) throw std::runtime_error("injected");
+    };
+    batch.set_policy(policy);
+    batch.add_grid(small_spec(), four_policies());
+    const auto results = batch.run();
+    ASSERT_EQ(results.size(), four_policies().size());
+    for (std::size_t p = 0; p < results.size(); ++p) {
+      if (results[p].policy == target) {
+        EXPECT_TRUE(results[p].error.failed);
+        EXPECT_EQ(results[p].error.message, "injected");
+        EXPECT_EQ(results[p].error.repetition, 1u);
+        continue;
+      }
+      EXPECT_FALSE(results[p].error.failed) << results[p].policy;
+      expect_same_repetitions(results[p], runner.run(four_policies()[p]));
+    }
+  }
 }
 
 // ------------------------------------------------- BatchRunner failures --
