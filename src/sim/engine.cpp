@@ -393,25 +393,26 @@ Candidate& Engine::listed_entry(std::vector<Candidate>& list, PacketIndex packet
   return *it;
 }
 
-void Engine::rebuild_impact_weights(ImpactIndex& index) const {
-  index.begin_rebuild();
-  store_.for_each([this, &index](PacketIndex p) {
+void Engine::rebuild_impact_weights() const {
+  impact_index_.begin_rebuild();
+  store_.for_each([this](PacketIndex p) {
     const std::size_t s = slot(p);
     const EdgeIndex e = state_[s].route.edge;
     const EdgeMeta& meta = edge_meta_[static_cast<std::size_t>(e)];
-    index.rebuild_add(meta.transmitter, meta.receiver, e, chunk_weight_[s],
-                      remaining_[s]);
+    impact_index_.rebuild_add(meta.transmitter, meta.receiver, e, chunk_weight_[s],
+                              remaining_[s]);
   });
 }
 
 // rdcn-lint: hot
 ImpactSplit Engine::impact_split_slow(EdgeIndex e, double threshold) const {
-  // Timed at query granularity (rebuild + deferred-event flush + lookup):
-  // per-update spans inside add_chunks would cost more than the O(1)
-  // counter work they measure. Nests under Dispatch (or Select).
+  // Times the query plus the weight structures' build when it finds them
+  // off: per-update spans inside add_chunks would cost more than the O(1)
+  // work they measure, so upkeep counts toward the phase that triggers it.
+  // Nests under Dispatch (or Select).
   Probe::Span span(probe_, Phase::IndexMaintenance);
   if (probe_) probe_->count(Counter::ImpactQueries);
-  if (!impact_index_.weight_ready()) rebuild_impact_weights(impact_index_);
+  if (!impact_index_.weight_ready()) rebuild_impact_weights();
   return impact_index_.edge_split(e, threshold);
 }
 
@@ -647,8 +648,10 @@ void Engine::crosscheck_impact_index() {
   // its weight structures up (canonical hash-priority shape makes the
   // incremental and rebuilt treaps structurally identical). Mutations are
   // cold, so the O(n log n) rebuild is free at steady state.
+  const bool weights = impact_index_.weight_ready();
   ImpactIndex fresh;
   fresh.attach(*topology_);
+  if (weights) fresh.begin_rebuild();
   store_.for_each([this, &fresh](PacketIndex p) {
     const Candidate c = candidate_of(p);
     fresh.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight, c.remaining);
@@ -661,8 +664,7 @@ void Engine::crosscheck_impact_index() {
           "apply_mutation: impact index edge load diverged from rebuild");
     }
   }
-  if (impact_index_.weight_ready()) {
-    rebuild_impact_weights(fresh);
+  if (weights) {
     store_.for_each([this, &fresh](PacketIndex p) {
       const EdgeIndex e = store_.edge_of(p);
       const double w = chunk_weight_[slot(p)];
@@ -722,7 +724,6 @@ std::size_t Engine::schedule_round(bool record) {
     probe_->gauge(Gauge::PendingCandidates, store_.size());
     probe_->gauge(Gauge::InFlight, in_flight_);
     probe_->gauge(Gauge::WeightKeys, impact_index_.live_weight_keys());
-    probe_->set(Counter::IndexRebuilds, impact_index_.rebuilds());
   }
 
   ++select_serial_;  // invalidates the active-endpoint map of the last round
@@ -938,6 +939,14 @@ void Engine::begin_step(const Time* next_arrival) {
 // rdcn-lint: hot
 void Engine::finish_step() {
   if (options_.redispatch_queued) redispatch_queued_packets();
+  // The weight structures have taken more updates since the last impact
+  // query than a rebuild would make (one per pending packet): drop them,
+  // so a drain under a policy that has stopped asking pays about one
+  // rebuild's worth of upkeep, not one per served chunk to the end. The
+  // next query rebuilds them.
+  if (impact_index_.updates_since_query() > store_.size()) {
+    impact_index_.disable_weights();
+  }
   for (int round = 0; round < options_.speedup_rounds; ++round) {
     if (store_.empty() && round > 0) break;
     schedule_round(options_.record_trace);

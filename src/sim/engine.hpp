@@ -61,9 +61,11 @@
 //    impact_of's |H|/w(L) split in O(log n) instead of scanning both
 //    endpoint queues per candidate edge. The engine feeds the index at the
 //    same three lifecycle points that maintain the pending store
-//    (dispatch, per-chunk service, unlisting); the weight structures are enabled
-//    lazily by the first impact_split() call and decay during long
-//    non-impact drains, so non-impact policies pay only the O(1) counters;
+//    (dispatch, per-chunk service, unlisting); the weight structures are
+//    built by an impact_split() call and maintained from then on, and
+//    dropped once the updates since the last call outnumber the pending
+//    packets, so policies that never ask pay only the O(1) counters and
+//    a query-free drain at most one rebuild's worth of upkeep;
 //  * per-packet state lives in a sliding window of dense arrays indexed by
 //    (id - window base); retired prefixes are compacted away amortized
 //    O(1), which is what bounds streaming memory; batch mode preallocates
@@ -424,8 +426,11 @@ class Engine {
   Probe* probe() noexcept { return probe_; }
 
   /// O(log n) |H_p(e)| / w(L_p(e)) split at `threshold` = w_p/d(e) -- the
-  /// hot path behind impact_of, O(1) at shallow queues. Enables (or
-  /// rebuilds after decay) the index's weight structures on first use;
+  /// hot path behind impact_of, O(1) at shallow queues. A call that finds
+  /// the index's weight structures off builds them from the pending store;
+  /// the engine maintains them from then on, and turns them off at a step
+  /// that starts with more updates since the last call than pending
+  /// packets (a rebuild's cost).
   /// `mutable` for the same reason as the active-endpoint cache: a
   /// lazily-built view behind the const policy interface.
   ImpactSplit impact_split(EdgeIndex e, double threshold) const {
@@ -507,8 +512,8 @@ class Engine {
   void list_pending(PacketIndex packet, EdgeIndex e);
   /// Removes a not-yet-finished packet from the pending structures.
   void unlist_pending(PacketIndex packet);
-  /// Fills `index`'s weight structures from the pending store.
-  void rebuild_impact_weights(ImpactIndex& index) const;
+  /// Builds the impact index's weight structures from the pending store.
+  void rebuild_impact_weights() const;
   /// impact_split with the probe on or the weight structures off.
   ImpactSplit impact_split_slow(EdgeIndex e, double threshold) const;
   /// Restricted migration: re-dispatches packets with no transmitted chunk.

@@ -280,12 +280,6 @@ void ImpactIndex::attach(const Topology& topology) {
   r_root_.assign(num_r, -1);
   p_root_.assign(static_cast<std::size_t>(num_pairs_), -1);
   store_.reset();
-  // Deferred-event capacity doubles as the decay threshold (see
-  // add_chunks): fixed up front so maintenance never reallocates it, and
-  // sized so several full scheduling rounds of per-chunk service fit
-  // between consecutive impact queries without forcing a decay/rebuild.
-  events_.clear();
-  events_.reserve(std::max<std::size_t>(256, 8 * std::min(num_t, num_r)));
   weight_ready_ = false;
 }
 
@@ -305,14 +299,8 @@ void ImpactIndex::add_chunks(NodeIndex t, NodeIndex r, EdgeIndex e, double chunk
   r_chunks_[static_cast<std::size_t>(r)] += delta;
   p_chunks_[static_cast<std::size_t>(pair)] += delta;
   if (!weight_ready_) return;
-  if (events_.size() == events_.capacity()) {
-    // Long maintenance streak with no impact query in between: drop the
-    // weight structures instead of growing the queue; the next query
-    // rebuilds from the then-current multiset (purity makes that exact).
-    decay();
-    return;
-  }
-  events_.push_back(Event{chunk_weight, delta, t, r, pair});
+  ++updates_since_query_;
+  apply_weight(t, r, pair, chunk_weight, delta);
 }
 
 void ImpactIndex::apply_weight(NodeIndex t, NodeIndex r, std::int32_t pair,
@@ -322,27 +310,19 @@ void ImpactIndex::apply_weight(NodeIndex t, NodeIndex r, std::int32_t pair,
   store_.add(p_root_[static_cast<std::size_t>(pair)], chunk_weight, delta);
 }
 
-void ImpactIndex::flush() {
-  for (const Event& event : events_) {
-    apply_weight(event.transmitter, event.receiver, event.pair, event.chunk_weight,
-                 event.delta);
-  }
-  events_.clear();
-}
-
-void ImpactIndex::decay() {
+void ImpactIndex::disable_weights() {
+  if (!weight_ready_) return;  // the handles are already all -1
   store_.reset();
   std::fill(t_root_.begin(), t_root_.end(), -1);
   std::fill(r_root_.begin(), r_root_.end(), -1);
   std::fill(p_root_.begin(), p_root_.end(), -1);
-  events_.clear();
   weight_ready_ = false;
+  updates_since_query_ = 0;
 }
 
 void ImpactIndex::begin_rebuild() {
-  decay();
+  disable_weights();
   weight_ready_ = true;
-  ++rebuilds_;
 }
 
 void ImpactIndex::rebuild_add(NodeIndex t, NodeIndex r, EdgeIndex e, double chunk_weight,
@@ -351,11 +331,8 @@ void ImpactIndex::rebuild_add(NodeIndex t, NodeIndex r, EdgeIndex e, double chun
   apply_weight(t, r, pair_of(e), chunk_weight, chunks);
 }
 
-void ImpactIndex::prepare_query() {
-  if (!weight_ready_) {
-    throw std::logic_error("impact index: edge_split before rebuild");
-  }
-  flush();
+void ImpactIndex::throw_not_ready() {
+  throw std::logic_error("impact index: edge_split before rebuild");
 }
 
 }  // namespace rdcn

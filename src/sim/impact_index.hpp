@@ -76,19 +76,17 @@
 // against an independent representation.
 //
 // LIFECYCLE. Integer per-endpoint/per-pair chunk-load counters are always
-// maintained, O(1) eagerly, on dispatch, per-chunk service, and unlisting
-// -- they make JSQ's edge load a three-counter read with bit-identical
-// results. The weight structures are lazily enabled on the first impact
-// query (rebuilt from the engine's pending store) and thereafter maintained
-// through a deferred-event queue flushed at query time: because the
-// structure is a pure function of the current multiset, batching updates
-// is equivalent to applying them eagerly. If many maintenance events
-// accumulate with no impact query between them (a pure drain under a
-// non-impact policy), the weight structures decay -- they are dropped and
-// rebuilt at the next query -- so idle maintenance stays O(1) per event
-// and bounded in memory. All storage is pooled and grow-once: at steady
-// state neither queries nor maintenance touch the heap (pinned by
-// tests/test_hotpath.cpp's allocation counter).
+// maintained, O(1), on dispatch, per-chunk service and unlisting -- they
+// make JSQ's edge load a three-counter read. The weight structures are
+// off until an impact query, which builds them from the engine's pending
+// store; from then on every update is applied as it happens. The engine
+// turns them off again once the updates since the last query outnumber
+// its pending packets (what a rebuild costs), so a query-free drain pays
+// at most one rebuild's worth of upkeep; the next query builds them
+// again, which purity makes exact.
+// All storage is pooled and grow-once: at steady state neither queries
+// nor maintenance touch the heap (pinned by tests/test_hotpath.cpp's
+// allocation counter).
 
 #include <cstdint>
 #include <vector>
@@ -371,8 +369,8 @@ class ImpactIndex {
 
   /// The engine's single mutation hook: `delta` chunks of one packet with
   /// the given chunk weight enter (dispatch) or leave (per-chunk service,
-  /// unlisting) edge `e`. Counters update eagerly; weight-structure
-  /// updates are deferred until the next query.
+  /// unlisting) edge `e`. Counters always update; the weight structures
+  /// too once enabled.
   void add_chunks(NodeIndex t, NodeIndex r, EdgeIndex e, double chunk_weight,
                   std::int64_t delta);
 
@@ -397,24 +395,31 @@ class ImpactIndex {
            p_chunks_[static_cast<std::size_t>(pair_of(e))];
   }
 
-  // --- weight-structure queries (lazily enabled) --------------------------
+  // --- weight-structure queries (enabled by a query) ----------------------
 
   bool weight_ready() const noexcept { return weight_ready_; }
 
-  /// (Re)builds the weight structures from the full pending multiset and
-  /// enables query-time maintenance: begin_rebuild() clears them, then one
+  /// Builds the weight structures from the full pending multiset and
+  /// enables their maintenance: begin_rebuild() clears them, then one
   /// rebuild_add() per pending packet (any order -- the canonical shape
-  /// makes the result order-independent). The engine runs this lazily on
-  /// the first impact query and again after a decay.
+  /// makes the result order-independent). The engine runs this on an
+  /// impact query that finds them off.
   void begin_rebuild();
   void rebuild_add(NodeIndex t, NodeIndex r, EdgeIndex e, double chunk_weight,
                    std::int64_t chunks);
+  /// Drops the weight structures and stops their maintenance until the
+  /// next begin_rebuild(); the counters stay on.
+  void disable_weights();
+  /// add_chunks() calls applied to the weight structures since the last
+  /// edge_split() or begin_rebuild(); 0 while they are off.
+  std::size_t updates_since_query() const noexcept { return updates_since_query_; }
 
   /// |H| and w(L) for edge `e` at `threshold` = w_p/d(e); requires
-  /// weight_ready(). Flushes deferred maintenance first, then answers:
-  /// O(1) per structure of at most two keys, O(log n) per treap.
-  ImpactSplit edge_split(EdgeIndex e, double threshold) {
-    if (!weight_ready_ || !events_.empty()) prepare_query();
+  /// weight_ready(): O(1) per structure of at most two keys, O(log n) per
+  /// treap.
+  ImpactSplit edge_split(EdgeIndex e, double threshold) const {
+    if (!weight_ready_) throw_not_ready();
+    updates_since_query_ = 0;
     const ReconfigEdge& edge = topology_->edge(e);
     const std::int32_t t = t_root_[static_cast<std::size_t>(edge.transmitter)];
     const std::int32_t r = r_root_[static_cast<std::size_t>(edge.receiver)];
@@ -424,33 +429,18 @@ class ImpactIndex {
                           store_.chunks(pair), store_.below(pair, threshold));
   }
 
-  /// Test hooks.
-  std::size_t deferred_events() const noexcept { return events_.size(); }
   /// Distinct live keys summed over every weight structure, inline keys
-  /// included, as of the last flush -- surfaced as the probe's weight_keys
-  /// gauge. 0 while the structures are off.
+  /// included -- surfaced as the probe's weight_keys gauge. 0 while the
+  /// structures are off.
   std::size_t live_weight_keys() const noexcept { return store_.live_keys(); }
   /// The treap-held share of live_weight_keys(): nonzero while some
   /// structure holds three or more keys.
   std::size_t weight_tree_nodes() const noexcept { return store_.tree_nodes(); }
-  /// Times rebuild() ran (lazy enables + post-decay rebuilds) -- surfaced
-  /// as the probe's index_rebuilds counter.
-  std::uint64_t rebuilds() const noexcept { return rebuilds_; }
 
  private:
-  struct Event {
-    double chunk_weight = 0.0;
-    std::int64_t delta = 0;
-    NodeIndex transmitter = 0;
-    NodeIndex receiver = 0;
-    std::int32_t pair = 0;
-  };
-
   void apply_weight(NodeIndex t, NodeIndex r, std::int32_t pair, double chunk_weight,
                     std::int64_t delta);
-  void prepare_query();  ///< throws before the first rebuild; else flushes
-  void flush();
-  void decay();
+  [[noreturn]] static void throw_not_ready();
 
   const Topology* topology_ = nullptr;
   std::vector<std::int32_t> pair_of_;  ///< edge -> (t, r) group id
@@ -460,9 +450,9 @@ class ImpactIndex {
 
   impact_detail::WeightStore store_;
   std::vector<std::int32_t> t_root_, r_root_, p_root_;  ///< structure handles
-  std::vector<Event> events_;  ///< deferred while weight_ready_; capacity-bounded
   bool weight_ready_ = false;
-  std::uint64_t rebuilds_ = 0;
+  /// Mutable: the const query resets it, as a cache's bookkeeping would.
+  mutable std::size_t updates_since_query_ = 0;
 };
 
 }  // namespace rdcn

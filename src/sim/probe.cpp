@@ -24,7 +24,6 @@ const char* to_string(Counter counter) {
     case Counter::PacketsRetired: return "packets_retired";
     case Counter::CandidatesMerged: return "candidates_merged";
     case Counter::ImpactQueries: return "impact_queries";
-    case Counter::IndexRebuilds: return "index_rebuilds";
     case Counter::DroppedEvents: return "dropped_events";
     case Counter::PacketsDropped: return "packets_dropped";
     case Counter::PacketsRequeued: return "packets_requeued";

@@ -36,13 +36,15 @@ namespace rdcn {
 
 /// The engine's round phases, in round order. Dispatch covers the
 /// per-step packet dispatch (policy decision + route application);
-/// IndexMaintenance the impact index's lazy rebuild + deferred-event flush
-/// + query, nested inside Dispatch (or Select, for index-using
-/// schedulers); MergeCompact the upkeep of the pending store: the
-/// per-round edge-head refresh, unlisting finished or re-dispatched
-/// packets, and the full priority list when a policy asked for it (the
-/// listing of each dispatched packet counts toward Dispatch); Service the
-/// chunk transmit and retirement accounting.
+/// IndexMaintenance an impact-index query plus the build of the index's
+/// weight structures when the query finds them off, nested inside Dispatch
+/// (or Select, for index-using schedulers) -- the index's per-update upkeep
+/// counts toward the phase that triggers it (Dispatch, Service,
+/// MergeCompact); MergeCompact the
+/// upkeep of the pending store: the per-round edge-head refresh, unlisting
+/// finished or re-dispatched packets, and the full priority list when a
+/// policy asked for it (the listing of each dispatched packet counts
+/// toward Dispatch); Service the chunk transmit and retirement accounting.
 enum class Phase : std::uint8_t {
   Dispatch = 0,
   IndexMaintenance,
@@ -54,9 +56,8 @@ enum class Phase : std::uint8_t {
 inline constexpr std::size_t kNumPhases = 6;
 const char* to_string(Phase phase);
 
-/// Monotone counters. IndexRebuilds mirrors ImpactIndex::rebuilds() (set,
-/// not incremented, by the engine once per round); DroppedEvents counts
-/// ring-overflow span discards and is maintained by the probe itself.
+/// Monotone counters. DroppedEvents counts ring-overflow span discards and
+/// is maintained by the probe itself.
 enum class Counter : std::uint8_t {
   Rounds = 0,
   ChunksTransmitted,
@@ -64,13 +65,12 @@ enum class Counter : std::uint8_t {
   PacketsRetired,
   CandidatesMerged,
   ImpactQueries,
-  IndexRebuilds,
   DroppedEvents,
   PacketsDropped,   ///< failure-injection drops (StageMutation / dead routes)
   PacketsRequeued,  ///< packets re-dispatched off a killed edge
   StageMutations,   ///< apply_mutation calls
 };
-inline constexpr std::size_t kNumCounters = 11;
+inline constexpr std::size_t kNumCounters = 10;
 const char* to_string(Counter counter);
 
 /// Sampled gauges: last value and high-water mark. Sampled once per
@@ -144,10 +144,6 @@ class Probe {
 
   void count(Counter counter, std::uint64_t delta = 1) noexcept {
     counters_[static_cast<std::size_t>(counter)] += delta;
-  }
-  /// Overwrites a counter with an externally-maintained monotone value.
-  void set(Counter counter, std::uint64_t value) noexcept {
-    counters_[static_cast<std::size_t>(counter)] = value;
   }
   void gauge(Gauge gauge, std::uint64_t value) noexcept {
     const auto i = static_cast<std::size_t>(gauge);

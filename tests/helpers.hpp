@@ -85,4 +85,39 @@ inline Instance make_varied_instance(std::uint64_t seed) {
   return make_random_instance(spec);
 }
 
+/// The deep-queue instance: an 8-rack pod (delays 1-3) fed 12 packets per
+/// step for 300 steps, two thirds of them on rack pair (0, 1) (four edges,
+/// four chunks per step), so the pending set peaks in the thousands and
+/// most chunks sit behind an edge head. Half the weights come from a
+/// four-value set, so chunk-weight ties exercise the tie-breaks.
+inline Instance deep_queue_instance() {
+  TwoTierConfig net;
+  net.racks = 8;
+  net.lasers_per_rack = 2;
+  net.photodetectors_per_rack = 2;
+  net.density = 1.0;
+  net.max_edge_delay = 3;
+  Rng rng(41);
+  Topology topology = build_two_tier(net, rng);
+  const NodeIndex racks = net.racks;
+  Instance instance(std::move(topology), {});
+  for (Time step = 1; step <= 300; ++step) {
+    for (int k = 0; k < 12; ++k) {
+      const Weight weight = k % 2 == 0 ? 1.0 + static_cast<double>(rng.next_below(4))
+                                       : rng.next_double(0.5, 8.0);
+      NodeIndex source = 0;
+      NodeIndex destination = 1;
+      if (k % 3 == 0) {
+        const auto draw = [&rng](NodeIndex bound) {
+          return static_cast<NodeIndex>(rng.next_below(static_cast<std::uint64_t>(bound)));
+        };
+        source = draw(racks);
+        destination = (source + 1 + draw(racks - 1)) % racks;
+      }
+      instance.add_packet(step, weight, source, destination);
+    }
+  }
+  return instance;
+}
+
 }  // namespace rdcn::testing

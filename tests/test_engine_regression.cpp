@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <string>
 
 #include "core/alg.hpp"
 #include "core/randomized.hpp"
@@ -121,7 +123,8 @@ struct PolicyGolden {
 
 // Captured from the Selection-API engine at PR 5; `alg`'s rows reproduce
 // the pre-refactor kSeedEngineGoldens costs above, pinning the whole
-// registry (batch AND streamed, audited) to these schedules.
+// registry (batch AND streamed, audited) to these schedules. The
+// alg-forwarded rows repeat alg's (see golden_policy below).
 constexpr PolicyGolden kPolicyGoldens[] = {
     {"alg", 101ULL, 2940.5, 32, 0x0f32fd3947ee6634ULL},
     {"maxweight", 101ULL, 2969, 32, 0x29d8e70a73f91256ULL},
@@ -135,6 +138,7 @@ constexpr PolicyGolden kPolicyGoldens[] = {
     {"jsq", 101ULL, 2970, 32, 0xe9f822b46830a417ULL},
     {"min-delay", 101ULL, 3323.5, 36, 0xf2d5b06e0aa09cd9ULL},
     {"direct-only", 101ULL, 3235.5, 36, 0xa4be27d60f580159ULL},
+    {"alg-forwarded", 101ULL, 2940.5, 32, 0x0f32fd3947ee6634ULL},
     {"alg", 103ULL, 5376.333333333333, 56, 0x495a38077d357f3dULL},
     {"maxweight", 103ULL, 5398.4999999999991, 56, 0xf31533743d25360fULL},
     {"islip", 103ULL, 7510.333333333333, 56, 0x528356261f84554bULL},
@@ -147,7 +151,36 @@ constexpr PolicyGolden kPolicyGoldens[] = {
     {"jsq", 103ULL, 5448.7499999999991, 56, 0xd36dd52f18d56ec2ULL},
     {"min-delay", 103ULL, 6407.5, 56, 0xbad24f4161eb9e68ULL},
     {"direct-only", 103ULL, 6407.5, 56, 0xbad24f4161eb9e68ULL},
+    {"alg-forwarded", 103ULL, 5376.333333333333, 56, 0x495a38077d357f3dULL},
 };
+
+/// Forwards dispatch() to a wrapped policy and adds nothing else: the
+/// shape of a timing decorator such as rdcnbench's TimedDispatch. No
+/// policy declares that it reads the impact index; the engine enables the
+/// index's weight structures on the first impact query, so ALG behind a
+/// decorator must reproduce ALG's schedules.
+class ForwardingDispatch final : public DispatchPolicy {
+ public:
+  explicit ForwardingDispatch(std::unique_ptr<DispatchPolicy> inner)
+      : inner_(std::move(inner)) {}
+  RouteDecision dispatch(const Engine& engine, const Packet& packet) override {
+    return inner_->dispatch(engine, packet);
+  }
+
+ private:
+  std::unique_ptr<DispatchPolicy> inner_;
+};
+
+/// named_policy, plus "alg-forwarded": ALG with its dispatcher wrapped in
+/// a ForwardingDispatch.
+PolicyFactory golden_policy(const std::string& name) {
+  if (name != "alg-forwarded") return named_policy(name);
+  PolicyFactory policy = alg_policy();
+  policy.dispatcher = [inner = policy.dispatcher]() -> std::unique_ptr<DispatchPolicy> {
+    return std::make_unique<ForwardingDispatch>(inner());
+  };
+  return policy;
+}
 
 TEST(EngineRegression, AllRegistryPoliciesMatchScheduleGoldensBatch) {
   std::map<std::uint64_t, Instance> instances;
@@ -156,7 +189,7 @@ TEST(EngineRegression, AllRegistryPoliciesMatchScheduleGoldensBatch) {
     if (it == instances.end()) {
       it = instances.emplace(golden.seed, testing::make_varied_instance(golden.seed)).first;
     }
-    const PolicyFactory policy = named_policy(golden.policy);
+    const PolicyFactory policy = golden_policy(golden.policy);
     auto dispatcher = policy.dispatcher();
     auto scheduler = policy.scheduler(it->second.topology());
     EngineOptions options;
@@ -180,7 +213,7 @@ TEST(EngineRegression, ProbeEnabledRunsReproduceScheduleGoldens) {
     if (it == instances.end()) {
       it = instances.emplace(golden.seed, testing::make_varied_instance(golden.seed)).first;
     }
-    const PolicyFactory policy = named_policy(golden.policy);
+    const PolicyFactory policy = golden_policy(golden.policy);
     auto dispatcher = policy.dispatcher();
     auto scheduler = policy.scheduler(it->second.topology());
     EngineOptions options;
@@ -212,7 +245,7 @@ TEST(EngineRegression, AllRegistryPoliciesMatchScheduleGoldensStreamed) {
       it = instances.emplace(golden.seed, testing::make_varied_instance(golden.seed)).first;
     }
     const Instance& instance = it->second;
-    const PolicyFactory policy = named_policy(golden.policy);
+    const PolicyFactory policy = golden_policy(golden.policy);
     auto dispatcher = policy.dispatcher();
     auto scheduler = policy.scheduler(instance.topology());
     EngineOptions options;
@@ -253,38 +286,9 @@ TEST(EngineRegression, AllRegistryPoliciesMatchScheduleGoldensStreamed) {
 // stream on one rack pair of an 8-rack pod (four edges, four chunks per
 // step): the pending set peaks in the thousands and most chunks sit behind
 // an edge head. Half the weights come from a four-value set, so chunk-
-// weight ties exercise the arrival and id tie-breaks. Hashes were recorded
-// from the engine that still handed select() the full pending list.
-
-Instance deep_queue_instance() {
-  TwoTierConfig net;
-  net.racks = 8;
-  net.lasers_per_rack = 2;
-  net.photodetectors_per_rack = 2;
-  net.density = 1.0;
-  net.max_edge_delay = 3;
-  Rng rng(41);
-  Topology topology = build_two_tier(net, rng);
-  const NodeIndex racks = net.racks;
-  Instance instance(std::move(topology), {});
-  for (Time step = 1; step <= 300; ++step) {
-    for (int k = 0; k < 12; ++k) {
-      const Weight weight = k % 2 == 0 ? 1.0 + static_cast<double>(rng.next_below(4))
-                                       : rng.next_double(0.5, 8.0);
-      NodeIndex source = 0;
-      NodeIndex destination = 1;
-      if (k % 3 == 0) {
-        const auto draw = [&rng](NodeIndex bound) {
-          return static_cast<NodeIndex>(rng.next_below(static_cast<std::uint64_t>(bound)));
-        };
-        source = draw(racks);
-        destination = (source + 1 + draw(racks - 1)) % racks;
-      }
-      instance.add_packet(step, weight, source, destination);
-    }
-  }
-  return instance;
-}
+// weight ties exercise the arrival and id tie-breaks (the instance is
+// testing::deep_queue_instance). Hashes were recorded from the engine that
+// still handed select() the full pending list.
 
 struct DeepRun {
   std::uint64_t hash = 0;
@@ -349,6 +353,7 @@ constexpr DeepGolden kDeepPolicyGoldens[] = {
     {"jsq", 0x28da034c8a2a779eULL, 2164},
     {"min-delay", 0xa126d0049ff6ed5aULL, 2527},
     {"direct-only", 0x658c035c25e95e76ULL, 2701},
+    {"alg-forwarded", 0x61d4066690271ac6ULL, 1862},
 };
 
 void expect_golden(const DeepRun& run, const DeepGolden& golden, const char* mode) {
@@ -358,9 +363,9 @@ void expect_golden(const DeepRun& run, const DeepGolden& golden, const char* mod
 }
 
 TEST(DeepQueueGoldens, RegistryPoliciesBatchAndStreamed) {
-  const Instance instance = deep_queue_instance();
+  const Instance instance = testing::deep_queue_instance();
   for (const DeepGolden& golden : kDeepPolicyGoldens) {
-    const PolicyFactory policy = named_policy(golden.label);
+    const PolicyFactory policy = golden_policy(golden.label);
     {
       auto dispatcher = policy.dispatcher();
       auto scheduler = policy.scheduler(instance.topology());
@@ -377,7 +382,7 @@ TEST(DeepQueueGoldens, RegistryPoliciesBatchAndStreamed) {
 }
 
 TEST(DeepQueueGoldens, RandomizedSchedulers) {
-  const Instance instance = deep_queue_instance();
+  const Instance instance = testing::deep_queue_instance();
   {
     ImpactDispatcher dispatcher;
     PerturbedStableScheduler scheduler(0.3, 7);
@@ -393,7 +398,7 @@ TEST(DeepQueueGoldens, RandomizedSchedulers) {
 }
 
 TEST(DeepQueueGoldens, AlgExtensions) {
-  const Instance instance = deep_queue_instance();
+  const Instance instance = testing::deep_queue_instance();
   {
     ImpactDispatcher dispatcher;
     StableMatchingScheduler scheduler;
@@ -411,7 +416,7 @@ TEST(DeepQueueGoldens, AlgExtensions) {
 TEST(DeepQueueGoldens, StagedEdgeKillRequeues) {
   // Kill two of the hot pair's four edges mid-backlog and requeue their
   // untouched packets; restore one of them later.
-  const Instance instance = deep_queue_instance();
+  const Instance instance = testing::deep_queue_instance();
   std::vector<EdgeIndex> hot;
   instance.topology().candidate_edges_into(0, 1, hot);
   ASSERT_GE(hot.size(), std::size_t{2});
@@ -561,7 +566,7 @@ TEST(EngineRegression, ContractHoldsUnderMigrationAndCapacity) {
 TEST(EngineRegression, ContractHoldsOnDeepQueues) {
   // Thousands pending behind a few edge heads; the full list is turned on
   // mid-run (first round), and the schedule must still be alg's golden.
-  const Instance instance = deep_queue_instance();
+  const Instance instance = testing::deep_queue_instance();
   ImpactDispatcher dispatcher;
   ContractCheckingScheduler scheduler(instance, /*check_full_list=*/true);
   const RunResult run = simulate(instance, dispatcher, scheduler, {});

@@ -249,7 +249,7 @@ TEST(HotPathAllocations, DeepBacklogDrainsWithoutAllocating) {
 /// steady state. dispatch() is a pure reader, so after a warmup that grows
 /// the dispatcher scratch and the index's treap pool to their high-water
 /// sizes, probing decisions against a live engine (with drain steps
-/// interleaved, so the probes also flush real deferred index maintenance)
+/// interleaved, so the probes read an index the rounds keep updating)
 /// must not touch the heap.
 TEST(HotPathAllocations, DispatchDecisionsAllocateNothingAtSteadyState) {
   const Topology topology = hotpath_topology(3);
@@ -268,9 +268,9 @@ TEST(HotPathAllocations, DispatchDecisionsAllocateNothingAtSteadyState) {
   const std::vector<Packet> probes = burst_packets(topology, 32, 23);
 
   // Warmup: grow dispatcher scratch + index pool to their high-water sizes
-  // (every probe once, since candidate-list scratch grows exact-fit), then
-  // let drain rounds queue deferred index events so the measured probes
-  // exercise flush().
+  // (every probe once, since candidate-list scratch grows exact-fit), with
+  // drain rounds between, so the measured probes run against an index the
+  // rounds have kept up to date.
   for (int i = 0; i < 2; ++i) {
     for (const Packet& p : probes) {
       impact.dispatch(engine, p);
@@ -303,8 +303,8 @@ TEST(HotPathAllocations, DispatchDecisionsAllocateNothingAtSteadyState) {
 /// weight structure across the inline/treap boundary (0 <-> 1 <-> 2 keys,
 /// and now and then a promotion to a treap and back). After a warm-up
 /// that grows the pools to their high-water marks, whole steps --
-/// dispatch, deferred index maintenance, rounds and retirement -- must not
-/// touch the heap.
+/// dispatch, index maintenance, rounds and retirement -- must not touch
+/// the heap.
 TEST(HotPathAllocations, ShallowAlgStreamAllocatesNothingAtSteadyState) {
   TopologySpec spec;
   spec.kind = TopologySpec::Kind::TwoTier;

@@ -16,10 +16,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <string>
 #include <vector>
 
+#include "baseline/dispatchers.hpp"
 #include "check/differential.hpp"
+#include "core/alg.hpp"
+#include "core/impact.hpp"
 #include "helpers.hpp"
 #include "net/builders.hpp"
 #include "run/policies.hpp"
@@ -237,7 +241,7 @@ void expect_matches_oracle(ImpactIndex& index, const Topology& topology,
 }
 
 /// Distinct (structure, key) pairs of the multiset: what live_weight_keys()
-/// must report once the index has flushed.
+/// must report.
 std::size_t distinct_structure_keys(const Topology& topology, const Multiset& multiset) {
   std::vector<std::pair<std::int64_t, double>> seen;  // (structure id, key)
   for (EdgeIndex e = 0; e < topology.num_edges(); ++e) {
@@ -292,8 +296,8 @@ TEST(ImpactIndexInline, ScriptedTransitionsMatchPlainTreap) {
 TEST(ImpactIndexInline, RandomSequencesMatchPlainTreapBitForBit) {
   // Random add/remove streams over a small key pool keep every structure
   // near the inline/treap boundary; each step is checked against oracle
-  // aggregates rebuilt from the multiset, and a decay -> rebuild cycle runs
-  // partway through each stream.
+  // aggregates rebuilt from the multiset. Partway through each stream a
+  // long query-free streak runs, then a rebuild from the multiset.
   const Topology topology = inline_topology();
   const std::vector<double> keys = {0.25, 0.5, 1.0 / 3.0, 1.0, 2.0};
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
@@ -330,13 +334,20 @@ TEST(ImpactIndexInline, RandomSequencesMatchPlainTreapBitForBit) {
         EXPECT_EQ(index.live_weight_keys(), distinct_structure_keys(topology, multiset));
       }
       if (step == 150) {
-        // Churn with no query in between until the deferred queue decays
-        // the weight structures, then rebuild them from the multiset.
-        while (index.weight_ready()) {
-          add(0, keys[0], 1);
-          add(0, keys[0], -1);
+        // Hundreds of updates with no query in between: each is applied as
+        // it happens, so the index must still match the oracle, and a
+        // rebuild from the multiset must reproduce it.
+        for (int churn = 0; churn < 300; ++churn) {
+          const auto f = static_cast<EdgeIndex>(rng.next_below(5));
+          add(f, keys[rng.next_below(keys.size())], 1);
+          add(f, keys[0], 1);
+          add(f, keys[0], -1);
         }
-        EXPECT_EQ(index.live_weight_keys(), 0u);
+        ASSERT_TRUE(index.weight_ready());
+        expect_matches_oracle(index, topology, multiset, keys,
+                              "seed " + std::to_string(seed) + " after churn");
+        if (::testing::Test::HasFatalFailure()) return;
+        EXPECT_EQ(index.live_weight_keys(), distinct_structure_keys(topology, multiset));
         index.begin_rebuild();
         for (EdgeIndex f = 0; f < topology.num_edges(); ++f) {
           const ReconfigEdge& edge = topology.edge(f);
@@ -361,16 +372,14 @@ TEST(ImpactIndexInline, MisuseThrowsOnEveryRepresentation) {
     index.attach(topology);
     index.begin_rebuild();
     for (int k = 0; k < held_keys; ++k) index.add_chunks(0, 0, 0, 1.0 + k, 2);
-    index.add_chunks(0, 0, 0, 9.0, -1);
-    EXPECT_THROW(index.edge_split(0, 1.0), std::logic_error)
+    EXPECT_THROW(index.add_chunks(0, 0, 0, 9.0, -1), std::logic_error)
         << held_keys << " keys, absent";
     if (held_keys == 0) continue;
     ImpactIndex over;
     over.attach(topology);
     over.begin_rebuild();
     for (int k = 0; k < held_keys; ++k) over.add_chunks(0, 0, 0, 1.0 + k, 2);
-    over.add_chunks(0, 0, 0, 1.0, -3);
-    EXPECT_THROW(over.edge_split(0, 1.0), std::logic_error)
+    EXPECT_THROW(over.add_chunks(0, 0, 0, 1.0, -3), std::logic_error)
         << held_keys << " keys, negative";
   }
 }
@@ -453,8 +462,8 @@ INSTANTIATE_TEST_SUITE_P(VariedInstances, ImpactIndexProperty,
                                            107, 110, 113, 116, 119, 122));
 
 TEST(ImpactIndexLifecycle, NonImpactPoliciesNeverEnableWeightStructures) {
-  // JSQ reads only the O(1) counters; the weight treaps must stay off for
-  // the entire run (no rebuilds, no deferred events, no decay churn).
+  // JSQ reads only the O(1) counters; the weight structures must stay off
+  // for the entire run.
   const Instance instance = testing::make_varied_instance(105);
   const PolicyFactory policy = named_policy("jsq");
   auto dispatcher = policy.dispatcher();
@@ -463,8 +472,191 @@ TEST(ImpactIndexLifecycle, NonImpactPoliciesNeverEnableWeightStructures) {
   ASSERT_FALSE(engine.impact_index().weight_ready());
   engine.run();
   EXPECT_FALSE(engine.impact_index().weight_ready());
-  EXPECT_EQ(engine.impact_index().deferred_events(), 0u);
   EXPECT_EQ(engine.impact_index().live_weight_keys(), 0u);
+}
+
+/// Routes the first `switch_at` packets by JSQ, which never queries the
+/// impact index, and every later one by ALG's impact_of. Before each
+/// impact decision it checks every candidate edge's live split against
+/// fresh ImpactAggregate oracles over the endpoint queues (bit for bit)
+/// and impact_of against impact_of_scan (|H| exact, w(L) to reassociation
+/// tolerance). The first check is the query that enables the index.
+class JsqThenImpactDispatcher final : public DispatchPolicy {
+ public:
+  explicit JsqThenImpactDispatcher(std::size_t switch_at) : switch_at_(switch_at) {}
+
+  RouteDecision dispatch(const Engine& engine, const Packet& packet) override {
+    if (dispatched_++ < switch_at_) {
+      if (engine.impact_index().weight_ready()) enabled_during_prefix = true;
+      return jsq_.dispatch(engine, packet);
+    }
+    if (!engine.impact_index().weight_ready()) {
+      for (NodeIndex t = 0; t < engine.topology().num_transmitters(); ++t) {
+        backlog_at_enable += engine.impact_index().transmitter_chunks(t);
+      }
+    }
+    engine.viable_edges_into(packet.source, packet.destination, edges_);
+    for (const EdgeIndex e : edges_) check_edge(engine, packet, e);
+    return impact_.dispatch(engine, packet);
+  }
+
+  std::int64_t backlog_at_enable = 0;  ///< pending chunks at the first query
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  bool enabled_during_prefix = false;
+
+ private:
+  void check_edge(const Engine& engine, const Packet& packet, EdgeIndex e) {
+    const ReconfigEdge& edge = engine.topology().edge(e);
+    const double threshold = packet.weight / static_cast<double>(edge.delay);
+    t_.clear();
+    r_.clear();
+    pair_.clear();
+    for (const PacketIndex q : engine.pending_on_transmitter(edge.transmitter)) {
+      t_.add(engine.chunk_weight(q), engine.remaining_chunks(q));
+    }
+    for (const PacketIndex q : engine.pending_on_receiver(edge.receiver)) {
+      r_.add(engine.chunk_weight(q), engine.remaining_chunks(q));
+      if (engine.assigned_transmitter(q) == edge.transmitter) {
+        pair_.add(engine.chunk_weight(q), engine.remaining_chunks(q));
+      }
+    }
+    const ImpactSplit want =
+        combine_impact(t_.chunks(), t_.below(threshold), r_.chunks(), r_.below(threshold),
+                       pair_.chunks(), pair_.below(threshold));
+    const ImpactSplit live = engine.impact_split(e, threshold);
+    const ImpactBreakdown indexed = impact_of(engine, packet, e);
+    const ImpactBreakdown scan = impact_of_scan(engine, packet, e);
+    ++checked;
+    if (live.heavier != want.heavier ||
+        std::bit_cast<std::uint64_t>(live.lighter_weight) !=
+            std::bit_cast<std::uint64_t>(want.lighter_weight) ||
+        indexed.h_count != scan.h_count ||
+        std::abs(indexed.l_weight - scan.l_weight) > 1e-9 * (1.0 + scan.l_weight)) {
+      if (mismatches++ == 0) {
+        first_mismatch = "packet " + std::to_string(packet.id) + " edge " +
+                         std::to_string(e) + ": live (" + std::to_string(live.heavier) +
+                         ", " + std::to_string(live.lighter_weight) + ") oracle (" +
+                         std::to_string(want.heavier) + ", " +
+                         std::to_string(want.lighter_weight) + ") scan (" +
+                         std::to_string(scan.h_count) + ", " +
+                         std::to_string(scan.l_weight) + ")";
+      }
+    }
+  }
+
+  std::size_t switch_at_;
+  std::size_t dispatched_ = 0;
+  JsqDispatcher jsq_;
+  ImpactDispatcher impact_;
+  std::vector<EdgeIndex> edges_;
+  ImpactAggregate t_, r_, pair_;
+};
+
+TEST(ImpactIndexLifecycle, FirstQueryAtDepthEnablesThenMaintainsExactly) {
+  // The weight structures are built by the first impact query from
+  // whatever backlog is pending then -- here over 1.5k chunks left by a
+  // 1500-packet JSQ prefix of the deep-queue instance -- and maintained on
+  // every update after it. Every split from then on must match the
+  // oracles.
+  const Instance instance = testing::deep_queue_instance();
+  JsqThenImpactDispatcher dispatcher(1500);
+  StableMatchingScheduler scheduler;
+  EngineOptions options;
+  options.audit = true;
+  const RunResult run = simulate(instance, dispatcher, scheduler, options);
+  EXPECT_FALSE(dispatcher.enabled_during_prefix);
+  EXPECT_EQ(dispatcher.mismatches, 0u) << dispatcher.first_mismatch;
+  EXPECT_GE(dispatcher.backlog_at_enable, 1500);
+  EXPECT_GT(dispatcher.checked, instance.num_packets() - 1500);
+  EXPECT_GT(run.makespan, 0);
+}
+
+TEST(ImpactIndexLifecycle, QueryFreeUpkeepBeyondARebuildDropsWeightsAndNextQueryRebuildsExactly) {
+  // Two streaming ALG engines take the same 300-packet burst at step 1 and
+  // drain it. `asked` sees an impact query before every drain step, so it
+  // keeps its weight structures and maintains them through the service
+  // updates. `quiet` sees none: it keeps maintaining them while the
+  // updates since its last query number at most its pending packets (a
+  // rebuild's cost), and drops them at the first step that starts beyond
+  // that. A query then rebuilds quiet's structures from its pending store,
+  // and every split must match asked's bit for bit.
+  TwoTierConfig net;
+  net.racks = 8;
+  net.density = 1.0;
+  net.max_edge_delay = 3;
+  Rng topology_rng(5);
+  const Topology topology = build_two_tier(net, topology_rng);
+  ImpactDispatcher asked_dispatcher;
+  ImpactDispatcher quiet_dispatcher;
+  StableMatchingScheduler asked_scheduler;
+  StableMatchingScheduler quiet_scheduler;
+  const auto sink = [](RetiredPacket&&) {};
+  Engine asked(topology, asked_dispatcher, asked_scheduler, {}, sink);
+  Engine quiet(topology, quiet_dispatcher, quiet_scheduler, {}, sink);
+  Rng rng(9);
+  const Time arrival = 1;
+  asked.begin_step(&arrival);
+  quiet.begin_step(&arrival);
+  for (PacketIndex id = 0; id < 300; ++id) {
+    Packet p;
+    p.id = id;
+    p.arrival = arrival;
+    p.weight = rng.next_double(0.5, 8.0);
+    p.source = static_cast<NodeIndex>(rng.next_below(8));
+    p.destination = static_cast<NodeIndex>((p.source + 1 + rng.next_below(7)) % 8);
+    asked.inject(p);
+    quiet.inject(p);
+  }
+  asked.finish_step();
+  quiet.finish_step();
+  ASSERT_TRUE(quiet.impact_index().weight_ready());
+
+  int kept_steps = 0;  // query-free drain steps that kept the structures
+  for (;;) {
+    ASSERT_TRUE(quiet.busy()) << "drained before the rule dropped the structures";
+    const std::size_t updates = quiet.impact_index().updates_since_query();
+    const std::size_t pending = quiet.pending_candidates().size();
+    (void)asked.impact_split(0, 1.0);
+    for (Engine* engine : {&asked, &quiet}) {
+      engine->begin_step(nullptr);
+      engine->finish_step();
+    }
+    ASSERT_TRUE(asked.impact_index().weight_ready()) << "drain step " << kept_steps;
+    if (updates > pending) {
+      ASSERT_FALSE(quiet.impact_index().weight_ready()) << "drain step " << kept_steps;
+      break;
+    }
+    ASSERT_TRUE(quiet.impact_index().weight_ready()) << "drain step " << kept_steps;
+    ASSERT_GT(quiet.impact_index().updates_since_query(), updates);
+    ++kept_steps;
+  }
+  EXPECT_GT(kept_steps, 1) << "one query-free step must not drop a deep backlog's structures";
+  // Off, the structures take no upkeep and count none.
+  quiet.begin_step(nullptr);
+  quiet.finish_step();
+  EXPECT_FALSE(quiet.impact_index().weight_ready());
+  EXPECT_EQ(quiet.impact_index().live_weight_keys(), 0u);
+  EXPECT_EQ(quiet.impact_index().updates_since_query(), 0u);
+  (void)asked.impact_split(0, 1.0);
+  asked.begin_step(nullptr);
+  asked.finish_step();
+  ASSERT_TRUE(quiet.busy());
+  ASSERT_GT(asked.impact_index().weight_tree_nodes(), 0u) << "no treap to rebuild";
+
+  for (EdgeIndex e = 0; e < topology.num_edges(); ++e) {
+    for (const double threshold : {0.75, 2.0, 6.0}) {
+      const ImpactSplit want = asked.impact_split(e, threshold);
+      const ImpactSplit got = quiet.impact_split(e, threshold);
+      EXPECT_EQ(got.heavier, want.heavier) << "edge " << e;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.lighter_weight),
+                std::bit_cast<std::uint64_t>(want.lighter_weight))
+          << "edge " << e;
+    }
+  }
+  EXPECT_TRUE(quiet.impact_index().weight_ready());
+  EXPECT_EQ(quiet.impact_index().live_weight_keys(), asked.impact_index().live_weight_keys());
 }
 
 TEST(ImpactIndexLifecycle, CountersDrainToZero) {

@@ -16,6 +16,8 @@ of the medians, and how many pairs the head won (by the metric's "better"
 direction in the head checkout's BENCHMARK.json). A claimed gain is solid
 when the head wins nearly every pair and the median moves by more than the
 base's own interquartile range; the last column says whether it does.
+Every run's metrics also go to stderr as it finishes, one JSON line each
+({"workload", "pair", "side", "metrics"}), so each run can be reported.
 """
 
 import argparse
@@ -87,8 +89,8 @@ def main():
             for side in order:
                 samples[side].append(run_once(sides[side], benches[side], workload,
                                               args.seed, seconds, args.trace))
-            print("  %s pair %d/%d done" % (workload, pair + 1, args.pairs),
-                  file=sys.stderr)
+                print(json.dumps({"workload": workload, "pair": pair + 1, "side": side,
+                                  "metrics": samples[side][-1]}), file=sys.stderr)
 
         print("%s: %d pairs, seed %d, %g s per run, trace %d" %
               (workload, args.pairs, args.seed, seconds, args.trace))

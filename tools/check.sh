@@ -121,10 +121,20 @@ echo "== smoke fuzz =="
 "$build/rdcn_fuzz" --seeds 2 --base 1 --mode batch --inject-transient 1 >/dev/null
 
 echo "== smoke cli =="
-"$build/rdcn_cli" policies >/dev/null
-"$build/rdcn_cli" record "$build/smoke_trace.inst" --packets 500 --rho 0.6 --seed 3 >/dev/null
-"$build/rdcn_cli" stream --trace "$build/smoke_trace.inst" --warmup 0 --packets 500 >/dev/null
-"$build/rdcn_cli" stream --rho 0.6 --warmup 200 --packets 2000 --seed 3 >/dev/null
+# README's documented commands (Quick start, then Streaming), word for
+# word except that build/ is "$build/" and /tmp/ is "$build/". Each runs
+# under a 10 s budget; on a RelWithDebInfo build every one finishes in
+# under 0.1 s, so a miss means a hang or a large slowdown, not noise.
+readme() { (cd "$repo" && timeout 10 "$build/rdcn_cli" "$@" >/dev/null); }
+readme gen "$build/pod.inst" --racks 8 --packets 200 --seed 1
+readme run "$build/pod.inst" --policy alg
+readme policies
+readme certify "$build/pod.inst"
+readme suite examples/suites/paper_baseline.json
+readme stream --policy alg --skew uniform --rho 0.5 --packets 100000
+readme stream --policy fifo --rho 0.9 --source onoff
+readme record "$build/trace.inst" --rho 0.8 --packets 5000
+readme stream --trace "$build/trace.inst"
 # Time-staged run with failure injection, audited: kill two edges under
 # requeue, then restore them; the per-stage summary rows must appear.
 printf '[{"duration": 40},\n {"duration": 40, "kill_edges": [0, 1], "dead": "requeue"},\n {"duration": 0, "restore_edges": [0, 1]}]\n' \
@@ -139,7 +149,6 @@ grep -q "stage 2" "$build/smoke_staged.out"
 test -s "$build/profile_trace.json"
 
 echo "== smoke suites =="
-"$build/rdcn_cli" suite "$repo/examples/suites/paper_baseline.json" >/dev/null
 "$build/rdcn_cli" suite "$repo/examples/suites/skew_sweep.json" --list >/dev/null
 "$build/rdcn_cli" suite "$repo/examples/suites/failure_sweep.json" >/dev/null
 if "$build/rdcn_cli" suite "$repo/tests/suites/unknown_key.json" >/dev/null 2>&1; then
