@@ -8,7 +8,7 @@
 // comparing the engine's incremental impact index (O(log n) per edge;
 // O(1) for JSQ's load) against the pre-index naive queue scans kept in
 // core/impact.hpp as oracles. Emits BenchReport JSON (ns_per_dispatch
-// rows; committed baseline in BENCH_dispatch.json) and prints the
+// rows; recorded ones are in BENCH_trajectory.json) and prints the
 // indexed-vs-scan speedup per shape.
 //
 //   bench_dispatch [--json]
@@ -316,7 +316,7 @@ int main(int argc, char** argv) {
   } else {
     report.print();
   }
-  // Atomic baseline write: no truncated BENCH_dispatch.json on a kill.
+  // Atomic write: no truncated --out file on a kill.
   if (!out_path.empty()) report.write_json(out_path);
   return 0;
 }

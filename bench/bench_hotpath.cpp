@@ -4,12 +4,13 @@
 // measured step is exactly one scheduling round plus retirement -- the
 // steady-state inner loop the Selection API and active-endpoint
 // compression target. Each row is the MEDIAN of N timed repetitions
-// (quick 3, full 5) -- medians keep CI's hard perf gate stable against
-// scheduler-noise outliers where best-of rewards them -- and the
-// repetitions must agree on total_cost/rounds bit-for-bit (determinism
-// cross-check; a mismatch aborts). Emits BenchReport JSON lines
-// (ns_per_round, rounds, total_cost); the committed baseline lives in
-// BENCH_hotpath.json and tools/perf_diff gates CI against it.
+// (quick 3, full 5) -- medians resist scheduler-noise outliers where
+// best-of rewards them -- and the repetitions must agree on
+// total_cost/rounds bit-for-bit (determinism cross-check; a mismatch
+// exits 3). Emits BenchReport JSON lines (ns_per_round, rounds,
+// total_cost). CI's perf gate runs --quick --json for the PR's base and
+// head side by side through tools/ab_bench.py; rows recorded along the
+// way are in BENCH_trajectory.json.
 //
 // Besides the 400-packet uniform bursts, a deep-backlog shape (pod8_hot)
 // drains a 6000-packet burst with half of it on one rack pair of the
@@ -17,21 +18,20 @@
 // behind an edge head -- the regime where a round that scanned the whole
 // backlog would cost O(backlog) instead of O(edges).
 //
-//   bench_hotpath [--json] [--quick] [--phases] [--no-meta]
+//   bench_hotpath [--json] [--quick] [--phases] [--no-meta] [--out PATH]
 //
-//   --json     print only the JSON lines (what BENCH_hotpath.json stores)
+//   --json     print only the JSON lines
 //   --quick    fewer repetitions, crossbar and deep-backlog shapes only
-//              (the CI perf-smoke subset; same bursts so row keys match
-//              the baseline)
+//              (the CI perf-gate subset; same bursts, so its rows share
+//              keys with a full run's)
 //   --phases   additionally run probe-enabled drains and emit one row per
 //              round phase (params gain "phase"; metric phase_ns_per_round
-//              = phase self-time / rounds). The gated rows above stay
-//              probe-OFF; phase rows are diffed warn-only against
-//              BENCH_hotpath_phases.json. The probed drain must reproduce
-//              the probe-off total_cost/rounds bit-for-bit (the
+//              = phase self-time / rounds). The rows above stay
+//              probe-OFF. The probed drain must reproduce the probe-off
+//              total_cost/rounds bit-for-bit, or the bench exits 3 (the
 //              observability layer may not perturb the schedule).
-//   --no-meta  suppress the BenchReport run-metadata line (regenerating a
-//              committed baseline needs deterministic bytes)
+//   --no-meta  suppress the BenchReport run-metadata line
+//   --out PATH also write the JSON lines to PATH, atomically
 
 #include <chrono>
 #include <cstdio>
@@ -196,8 +196,7 @@ int main(int argc, char** argv) {
     }
   }
   // --quick trims shapes and repetitions but keeps the burst sizes, so its
-  // rows carry the same (bench, name, params) keys as the committed
-  // BENCH_hotpath.json baseline and perf_diff can match them.
+  // rows carry the same (bench, name, params) keys as a full run's.
   const int repetitions = quick ? 3 : 5;  // median-of-N; N >= 3 even in CI
 
   BenchReport report("hotpath");
@@ -236,7 +235,7 @@ int main(int argc, char** argv) {
                      Table::fmt(median.ns_per_round, 1), Table::fmt(median.total_cost, 1)});
 
       if (!phases) continue;
-      // Separate probe-ON drains: the gated rows above stay probe-OFF, and
+      // Separate probe-ON drains: the timed rows above stay probe-OFF, and
       // the probed run doubles as a schedule-invariance check (identical
       // total_cost/rounds, or the probe perturbed the engine).
       std::vector<DrainResult> probed;
@@ -285,8 +284,8 @@ int main(int argc, char** argv) {
     }
     report.print();
   }
-  // Baselines are written atomically (write-temp-fsync-rename): a CI
-  // runner killed mid-bench can never corrupt BENCH_hotpath.json.
+  // --out is written atomically (write-temp-fsync-rename): a runner killed
+  // mid-bench never leaves a torn file.
   if (!out_path.empty()) report.write_json(out_path);
   return 0;
 }

@@ -3,8 +3,7 @@
 // the same JSON a user would put in examples/suites/, parsed with the
 // same strict loader the CLI uses, expanded to a topology x workload x
 // policy grid and fanned through the BatchRunner. Every emitted row is a
-// BenchReport-schema JSON line, so this bench's output lands in the
-// BENCH_*.json trajectory like every other driver.
+// BenchReport-schema JSON line, like every other bench's.
 
 #include <cstdio>
 #include <stdexcept>

@@ -4,8 +4,8 @@
 // policy wiring, repetition and aggregation all live in the library's
 // run/ subsystem (ScenarioSpec / ScenarioRunner / BatchRunner and the
 // policy registry); this header only adds presentation: the paper-style
-// ASCII tables of util/table.hpp plus a machine-readable JSON report so
-// every bench's rows land in the BENCH_*.json perf trajectory. Rows in
+// ASCII tables of util/table.hpp plus a machine-readable JSON report, the
+// row format of BENCH_trajectory.json and of tools/ab_bench.py. Rows in
 // EXPERIMENTS.md can be regenerated with `for b in build/bench/*; do $b; done`.
 
 #include <cmath>
@@ -119,9 +119,9 @@ class BenchReport {
 
   /// Attaches a run-metadata line emitted before the rows:
   ///   {"bench":"hotpath","meta":{"git":...,"build":...,"generated":...}}
-  /// perf_diff skips lines carrying a "meta" key, so metadata never
-  /// perturbs row matching; goldens that must be byte-stable are produced
-  /// with the benches' --no-meta flag instead.
+  /// tools/ab_bench.py skips lines carrying a "meta" key, so metadata
+  /// never perturbs row matching; output that must be byte-stable is
+  /// produced with the benches' --no-meta flag instead.
   void set_meta(std::string git, std::string build, std::string timestamp) {
     meta_git_ = std::move(git);
     meta_build_ = std::move(build);
@@ -187,7 +187,7 @@ class BenchReport {
 
   /// Writes the JSON lines to `path` via util/atomic_file's
   /// write-temp-fsync-rename: a bench killed mid-write can never leave a
-  /// truncated or interleaved BENCH_*.json baseline behind (throws
+  /// truncated or interleaved file behind (throws
   /// std::runtime_error on I/O failure).
   void write_json(const std::string& path) const {
     std::string text;
@@ -219,7 +219,7 @@ class BenchReport {
 
 /// Stamps the report's meta line from the build identity above plus the
 /// current UTC wall clock. Benches call this unless invoked with --no-meta
-/// (regenerating a committed BENCH_*.json golden needs deterministic bytes).
+/// (output that must be byte-stable needs deterministic bytes).
 inline void stamp_meta(BenchReport& report) {
   char stamp[32] = "unknown";
   const std::time_t now = std::time(nullptr);

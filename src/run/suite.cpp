@@ -970,8 +970,8 @@ void append_metrics(json::Object& line, const StreamResult& result) {
 /// metrics, or under isolate the structured failure ("status": "failed",
 /// exception type + message, the losing repetition and how many attempts
 /// it got). Healthy rows carry no "status" key, so downstream strict
-/// parsers (perf_diff) reject mixed streams loudly instead of averaging
-/// error rows into metrics.
+/// parsers reject mixed streams loudly instead of averaging error rows
+/// into metrics.
 template <typename Result>
 std::string render_row(const SuiteSpec& spec, const CellAxes& axes,
                        const Result& result) {

@@ -3,8 +3,8 @@
 // Crash-safe file replacement: write-temp, fsync, rename. After a crash
 // (SIGKILL included) at any byte, the destination either holds its
 // previous contents or the complete new contents -- never a torn prefix.
-// The suite journal, committed bench baselines and perf_diff reports all
-// write through here; the journal then grows by synced appends.
+// The suite journal and the benches' --out files write through here; the
+// journal then grows by synced appends.
 
 #include <string>
 

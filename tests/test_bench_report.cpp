@@ -1,5 +1,5 @@
-// BenchReport emits one JSON object per row into the BENCH_*.json
-// trajectory; downstream tooling parses those lines, so every emitted
+// BenchReport emits one JSON object per row (the format of
+// BENCH_trajectory.json); downstream tooling parses those lines, so every emitted
 // line must be strictly valid JSON. Historically NaN (from, e.g.,
 // Summary::min()/max() on an empty summary) leaked through as the bare
 // token `nan`, which no JSON parser accepts -- non-finite numbers must
@@ -173,9 +173,9 @@ TEST(BenchReport, NonFiniteNumbersBecomeNull) {
 
 TEST(BenchReport, MetaLineIsEmittedFirstAndIsRemovable) {
   // ISSUE 7: the run-metadata line leads the report so tooling can stamp a
-  // whole BENCH_*.json with its provenance; perf_diff skips lines carrying
-  // a "meta" key, and --no-meta (clear_meta) restores byte-deterministic
-  // output for committed goldens.
+  // whole report with its provenance; tools/ab_bench.py skips lines
+  // carrying a "meta" key, and --no-meta (clear_meta) restores
+  // byte-deterministic output.
   bench::BenchReport report("meta_bench");
   report.set_meta("abc1234-dirty", "RelWithDebInfo", "2026-08-08T00:00:00Z");
   report.add("row", 1.0, 2.0).param("shape", "crossbar16");

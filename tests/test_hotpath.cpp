@@ -35,16 +35,19 @@ namespace {
 std::atomic<std::uint64_t> g_allocation_count{0};
 }
 
-void* operator new(std::size_t size) {
+// noinline: inlined into a caller, these bodies would show GCC 12 a
+// `new` result handed to free() (-Wmismatched-new-delete); kept out of
+// line, every caller sees operator new paired with operator delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_allocation_count;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rdcn {
 namespace {

@@ -1,50 +1,124 @@
 #!/usr/bin/env python3
-"""Same-host A/B benchmark of two checkouts, in interleaved pairs of runs.
+"""Same-host A/B comparison and perf gate of two checkouts, in interleaved rounds.
 
-    python3 tools/ab_bench.py --base DIR --head DIR [--workloads a,b]
-                              [--pairs 10] [--seconds S] [--seed N] [--trace 0|1]
+    python3 tools/ab_bench.py --base DIR --head DIR [--command CMD] [--pairs 10]
+                              [--workloads a,b] [--seconds S] [--seed N] [--trace 0|1]
 
-Each checkout builds and runs its own rdcnbench/run.py (so each side is
-measured with its own benchmark code), from its own directory. One build
-run per side comes first and is discarded. Then, per workload, PAIRS pairs
-run back to back; the side that goes first alternates from pair to pair,
-so a host that drifts over time weighs on both sides alike. Every run must
-report correct with 0 failed operations, or the script exits 1.
+Without --command each checkout builds and runs its own rdcnbench (its
+BENCHMARK.json command) once per workload, and a run must report correct
+with 0 failed operations. With --command, CMD runs in each checkout's
+directory and its stdout's BenchReport rows are read: lines not starting
+with '{' and {"meta": ...} lines are skipped, a row's key is bench, name
+and params sorted by name, and wall_ms, *_ns and *ns_per* metrics are
+lower-is-better. A duplicate key in one run, or base and head keys that
+share nothing, exits 2; a run that exits nonzero exits 1.
 
-Per metric it prints each side's median and quartiles, the head/base ratio
-of the medians, and how many pairs the head won (by the metric's "better"
-direction in the head checkout's BENCHMARK.json). A claimed gain is solid
-when the head wins nearly every pair and the median moves by more than the
-base's own interquartile range; the last column says whether it does.
-Every run's metrics also go to stderr as it finishes, one JSON line each
-({"workload", "pair", "side", "metrics"}), so each run can be reported.
+After one discarded warm-up run a side, each of PAIRS rounds runs base,
+head and base again, rotating which goes first. Per row and metric the
+ratio is the median over rounds of head / base. The band comes from the
+base-again / base ratios of the same rounds: in log terms, their median's
+distance from 1 plus four standard errors of a median of PAIRS ratios
+(1.2533 * 1.4826 * MAD / sqrt(PAIRS)). A ratio beyond the band on the
+metric's worse side is REGRESSED and exits 1; nothing sets the band from
+outside. The table also gives medians and quartiles, the head's wins and
+whether its median moved beyond the base's interquartile range (a solid
+gain wins nearly every round and does). Every run's rows go to stderr as
+one JSON line ({"job", "pair", "side", "rows"}).
 """
 
 import argparse
 import json
+import math
 import os
+import shlex
 import statistics
 import subprocess
 import sys
 
-
-def load_bench(checkout):
-    with open(os.path.join(checkout, "BENCHMARK.json")) as handle:
-        return json.load(handle)
+SIDES = ("base", "head", "base2")  # base2: the base again, for the band
 
 
-def run_once(checkout, bench, workload, seed, seconds, trace):
-    command = bench["command"] + ["--workload", workload, "--seed", str(seed),
-                                  "--seconds", str(seconds), "--trace", str(trace)]
-    run = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
-    lines = run.stdout.strip().splitlines()
-    if run.returncode != 0 or not lines:
-        sys.exit("%s: %s failed (exit %d):\n%s" %
-                 (checkout, workload, run.returncode, run.stderr[-2000:]))
-    result = json.loads(lines[-1])
-    if not result["correct"] or result["failed"] != 0:
-        sys.exit("%s: %s incorrect: %s" % (checkout, workload, lines[-1]))
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+def fail(message, code=2):
+    print("ab_bench: " + message, file=sys.stderr)
+    sys.exit(code)
+
+
+def row_key(row):
+    params = row.get("params") or {}
+    return "|".join([str(row.get("bench", "")), str(row.get("name", ""))] +
+                    ["%s=%s" % (p, json.dumps(params[p], sort_keys=True)) for p in sorted(params)])
+
+
+def parse_rows(text, origin):
+    """BenchReport rows in `text` as {key: {metric: value}}."""
+    rows = {}
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.startswith("{"):
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as error:
+            fail("%s:%d: %s" % (origin, number, error))
+        if not isinstance(row, dict) or "meta" in row:
+            continue
+        key = row_key(row)
+        if key in rows:
+            fail("%s: duplicate row key %s" % (origin, key))
+        rows[key] = {name: value for name, value in row.items()
+                     if name not in ("bench", "name", "params")
+                     and isinstance(value, (int, float)) and not isinstance(value, bool)}
+    return rows
+
+
+def run_command(argv, checkout):
+    run = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if run.returncode != 0:
+        fail("%s: %s failed (exit %d):\n%s" % (checkout, " ".join(argv), run.returncode,
+                                                run.stderr[-2000:]), 1)
+    return run.stdout
+
+
+class CommandJob:
+    """One command whose stdout holds BenchReport rows."""
+
+    def __init__(self, command):
+        self.label, self.argv = command, shlex.split(command)
+
+    def run(self, checkout, warmup=False):
+        return parse_rows(run_command(self.argv, checkout), checkout)
+
+    def better(self, metric):
+        time_like = metric == "wall_ms" or metric.endswith("_ns") or "ns_per" in metric
+        return "lower" if time_like else None
+
+
+class RdcnbenchJob:
+    """One rdcnbench workload as one row; each side runs its own BENCHMARK.json command."""
+
+    def __init__(self, benches, head_bench, workload, seed, seconds, trace):
+        self.label = "rdcnbench %s (seed %d, %g s per run, trace %d)" % (
+            workload, seed, seconds, trace)
+        self.benches, self.workload, self.seed = benches, workload, seed
+        self.seconds, self.trace = seconds, trace
+        self.directions = {m["name"]: m["better"]
+                           for m in head_bench["end_to_end" if trace == 0 else "per_layer"]}
+
+    def run(self, checkout, warmup=False):
+        seconds, trace = (0.2, 0) if warmup else (self.seconds, self.trace)
+        argv = self.benches[checkout]["command"] + [
+            "--workload", self.workload, "--seed", str(self.seed), "--seconds", str(seconds),
+            "--trace", str(trace)]
+        lines = run_command(argv, checkout).strip().splitlines()
+        if not lines:
+            fail("%s: %s printed nothing" % (checkout, self.workload), 1)
+        result = json.loads(lines[-1])
+        if not result["correct"] or result["failed"] != 0:
+            fail("%s: %s incorrect: %s" % (checkout, self.workload, lines[-1]), 1)
+        return {"rdcnbench|" + self.workload:
+                {name: metric["value"] for name, metric in result["metrics"].items()}}
+
+    def better(self, metric):
+        return self.directions.get(metric)
 
 
 def quartiles(samples):
@@ -53,67 +127,117 @@ def quartiles(samples):
     return tuple(statistics.quantiles(samples, n=4))
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True, help="checkout measured as the baseline")
-    parser.add_argument("--head", required=True, help="checkout measured against it")
-    parser.add_argument("--workloads", help="comma-separated (default: all of head's)")
-    parser.add_argument("--pairs", type=int, default=10, help="at least 10 to claim a gain")
-    parser.add_argument("--seconds", type=float, help="per run (default: run_seconds)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    args = parser.parse_args()
-    if args.pairs < 1:
-        sys.exit("--pairs must be at least 1")
-    if args.pairs < 10:
-        print("note: %d pairs is fewer than the 10 a gain claim needs" % args.pairs,
-              file=sys.stderr)
+def log_ratios(numerators, denominators):
+    return [math.log(n / d) for n, d in zip(numerators, denominators)
+            if n > 0 and d > 0 and math.isfinite(n) and math.isfinite(d)]
 
-    sides = {"base": os.path.abspath(args.base), "head": os.path.abspath(args.head)}
-    benches = {side: load_bench(path) for side, path in sides.items()}
-    head_bench = benches["head"]
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in head_bench["workloads"]])
-    seconds = args.seconds if args.seconds else head_bench["run_seconds"]
-    metrics = head_bench["end_to_end"] if args.trace == 0 else head_bench["per_layer"]
-    better = {m["name"]: m["better"] for m in metrics}
 
-    for side, path in sides.items():  # build run, discarded
-        print("building %s (%s)" % (side, path), file=sys.stderr)
-        run_once(path, benches[side], workloads[0], args.seed, 0.2, 0)
+def band_half_width(noise):
+    """Log-space half-width of the band from the base/base log ratios."""
+    center = statistics.median(noise)
+    mad = statistics.median(abs(x - center) for x in noise)
+    return abs(center) + 4.0 * 1.2533 * 1.4826 * mad / math.sqrt(len(noise))
 
-    for workload in workloads:
-        samples = {"base": [], "head": []}
-        for pair in range(args.pairs):
-            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
-            for side in order:
-                samples[side].append(run_once(sides[side], benches[side], workload,
-                                              args.seed, seconds, args.trace))
-                print(json.dumps({"workload": workload, "pair": pair + 1, "side": side,
-                                  "metrics": samples[side][-1]}), file=sys.stderr)
 
-        print("%s: %d pairs, seed %d, %g s per run, trace %d" %
-              (workload, args.pairs, args.seed, seconds, args.trace))
-        print("  %-34s %-34s %-34s %-8s %-6s %s" %
-              ("metric", "base median [q1, q3]", "head median [q1, q3]", "ratio",
-               "wins", "beyond base IQR"))
-        for name in better:
-            base = [s[name] for s in samples["base"] if name in s]
-            head = [s[name] for s in samples["head"] if name in s]
-            if len(base) != args.pairs or len(head) != args.pairs:
+def compare(job, samples, pairs):
+    """Prints the job's table; returns the regressed "row :: metric" names."""
+    regressed = []
+    print("%s: %d rounds of base, head, base again" % (job.label, pairs))
+    print("  %-58s %-26s %-26s %-7s %-15s %-7s %-8s %s" %
+          ("row :: metric", "base median [q1, q3]", "head median [q1, q3]", "ratio",
+           "band", "wins", "gain>IQR", "verdict"))
+    for key in sorted(samples["base"][0]):
+        for metric in sorted(samples["base"][0][key]):
+            direction = job.better(metric)
+            series = {side: [run[key].get(metric) for run in samples[side]] for side in SIDES}
+            if direction is None or None in sum(series.values(), []):
                 continue
-            higher = better[name] == "higher"
+            base, head = series["base"], series["head"]
+            changed, noise = log_ratios(head, base), log_ratios(series["base2"], base)
+            if not changed or len(noise) != len(changed):
+                continue
+            higher = direction == "higher"
+            ratio = math.exp(statistics.median(changed))
+            half = band_half_width(noise)
+            slower = -math.log(ratio) if higher else math.log(ratio)
+            verdict = "REGRESSED" if slower > half else ("faster" if slower < -half else "ok")
             wins = sum(1 for b, h in zip(base, head) if (h > b if higher else h < b))
             b_q1, b_med, b_q3 = quartiles(base)
             h_q1, h_med, h_q3 = quartiles(head)
             gain = (h_med - b_med) if higher else (b_med - h_med)
-            ratio = h_med / b_med if b_med else float("nan")
-            solid = gain > (b_q3 - b_q1)
-            print("  %-34s %-34s %-34s %-8.4f %-6s %s" %
-                  (name, "%.6g [%.6g, %.6g]" % (b_med, b_q1, b_q3),
-                   "%.6g [%.6g, %.6g]" % (h_med, h_q1, h_q3), ratio,
-                   "%d/%d" % (wins, args.pairs), "yes" if solid else "no"))
-        sys.stdout.flush()
+            name = "%s :: %s" % (key, metric)
+            print("  %-58s %-26s %-26s %-7.4f %-15s %-7s %-8s %s" %
+                  (name, "%.5g [%.5g, %.5g]" % (b_med, b_q1, b_q3),
+                   "%.5g [%.5g, %.5g]" % (h_med, h_q1, h_q3), ratio,
+                   "[%.4f, %.4f]" % (math.exp(-half), math.exp(half)),
+                   "%d/%d" % (wins, pairs), "yes" if gain > b_q3 - b_q1 else "no", verdict))
+            if verdict == "REGRESSED":
+                regressed.append(name)
+    sys.stdout.flush()
+    return regressed
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="checkout measured as the baseline")
+    parser.add_argument("--head", required=True, help="checkout measured against it")
+    parser.add_argument("--command", help="run this in each checkout instead of rdcnbench")
+    parser.add_argument("--pairs", type=int, default=10, help="rounds; at least 10 to claim a gain")
+    parser.add_argument("--workloads", help="rdcnbench: comma-separated (default: all)")
+    parser.add_argument("--seconds", type=float, help="rdcnbench: per run (default: run_seconds)")
+    parser.add_argument("--seed", type=int, default=1, help="rdcnbench: seed")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="rdcnbench: compare the per-layer metrics")
+    args = parser.parse_args()
+    if args.pairs < 1:
+        fail("--pairs must be at least 1")
+    if args.pairs < 10:
+        print("note: %d pairs is fewer than the 10 a gain claim needs" % args.pairs,
+              file=sys.stderr)
+
+    paths = {"base": os.path.abspath(args.base), "head": os.path.abspath(args.head)}
+    paths["base2"] = paths["base"]
+    if args.command:
+        jobs = [CommandJob(args.command)]
+    else:
+        benches = {}
+        for path in set(paths.values()):
+            with open(os.path.join(path, "BENCHMARK.json")) as handle:
+                benches[path] = json.load(handle)
+        head_bench = benches[paths["head"]]
+        workloads = (args.workloads.split(",") if args.workloads
+                     else [w["name"] for w in head_bench["workloads"]])
+        seconds = args.seconds if args.seconds else head_bench["run_seconds"]
+        jobs = [RdcnbenchJob(benches, head_bench, w, args.seed, seconds, args.trace)
+                for w in workloads]
+
+    regressed = []
+    for job in jobs:
+        warm = {side: job.run(paths[side], warmup=True) for side in ("base", "head")}
+        matched = set(warm["base"]) & set(warm["head"])
+        if not matched:
+            fail("%s: no row keys shared by base and head" % job.label)
+        for side, other in (("base", "head"), ("head", "base")):
+            for key in sorted(set(warm[side]) - set(warm[other])):
+                print("only in %s: %s" % (side, key))
+        samples = {side: [] for side in SIDES}
+        for pair in range(args.pairs):
+            shift = pair % len(SIDES)
+            for side in SIDES[shift:] + SIDES[:shift]:
+                rows = job.run(paths[side])
+                if not matched <= set(rows):
+                    fail("%s: %s run %d lost rows %s" % (job.label, side, pair + 1,
+                                                         sorted(matched - set(rows))))
+                samples[side].append({key: rows[key] for key in matched})
+                print(json.dumps({"job": job.label, "pair": pair + 1, "side": side,
+                                  "rows": samples[side][-1]}), file=sys.stderr)
+        regressed += compare(job, samples, args.pairs)
+
+    for name in regressed:
+        print("REGRESSED %s" % name)
+    if regressed:
+        print("ab_bench: %d row metric(s) slower than the base/base band" % len(regressed))
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -68,7 +68,7 @@
 //       crash (SIGKILL, for the resume smoke) | sleep:MS.
 //   profile [--policy <name>] [--racks N] [--packets N] [--seed S]
 //           [--reps N] [--events N] [--out trace.json]
-//       Runs the engine probe (sim/probe.hpp) over a BM_AlgEndToEnd-shaped
+//       Runs the engine probe (sim/probe.hpp) over an alg_end_to_end-shaped
 //       batch run (bench/bench_scalability.cpp's generation, default
 //       64 racks / 2000 packets / seed 5), prints the per-phase time
 //       breakdown and the counter/gauge registry, and writes the raw span
@@ -534,8 +534,8 @@ int cmd_profile(const Args& args) {
   const auto events = static_cast<std::size_t>(args.number("--events", 1 << 16));
   const std::string out_path = args.value("--out", "profile_trace.json");
 
-  // BM_AlgEndToEnd's exact instance generation (bench/bench_scalability),
-  // so the phase shares speak to the committed BENCH_*.json trajectory.
+  // bench_scalability's alg_end_to_end instance generation, so the phase
+  // shares speak to that bench's rows in BENCH_trajectory.json.
   Rng rng(seed);
   TwoTierConfig net;
   net.racks = racks;
