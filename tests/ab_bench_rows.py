@@ -2,6 +2,7 @@
 """Fake BenchReport emitter for test_ab_bench.py: prints two fixed rows.
 
     ab_bench_rows.py [--meta] [--duplicate] [--head-slow NAME] [--head-rename]
+                     [--head-wall null|NaN|drop]
 
 The --head-* options act only when the working directory is named "head",
 so both sides of an A/B run can share one command and still differ.
@@ -25,6 +26,12 @@ if in_head and "--head-slow" in args:
 if in_head and "--head-rename" in args:
     for row in rows:
         row["bench"] = "renamed"
+if in_head and "--head-wall" in args:  # the alg row's wall_ms, as a broken head gives it
+    wall = args[args.index("--head-wall") + 1]
+    if wall == "drop":
+        del rows[0]["wall_ms"]
+    else:
+        rows[0]["wall_ms"] = None if wall == "null" else float(wall)
 if "--duplicate" in args:
     rows.append(rows[0])
 print("fake bench table header")

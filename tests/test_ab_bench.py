@@ -7,6 +7,7 @@ working directory where a case needs them to differ.
 """
 
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +71,19 @@ class AbBenchTest(unittest.TestCase):
         run = self.ab("--meta")
         self.assertEqual(run.returncode, 0, run.stdout + run.stderr)
         self.assertNotIn("fake| ", run.stdout)
+
+    def test_metric_the_head_breaks_is_an_error(self):
+        for wall in ("null", "NaN", "drop"):
+            run = self.ab("--head-wall", wall)
+            self.assertEqual(run.returncode, 2, wall + ": " + run.stdout + run.stderr)
+            self.assertIn('UNUSABLE fake|alg|packets=400|shape="pod" :: wall_ms', run.stdout)
+
+    def test_band_has_a_floor_when_base_ratios_tie(self):
+        base = [100.0, 103.0, 97.0, 101.0, 99.0]
+        noise = [0.0, 0.0, 0.0, 0.01, -0.02]  # more than half tie: their MAD is 0
+        # The base values' own log MAD, log(100 / 99), stands in.
+        self.assertAlmostEqual(load_tool().band_half_width(noise, base),
+                               4.0 * 1.2533 * 1.4826 * math.log(100 / 99) / math.sqrt(5))
 
     def test_trajectory_file_reads_as_rows(self):
         with open(os.path.join(REPO, "BENCH_trajectory.json")) as handle:

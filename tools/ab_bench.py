@@ -18,12 +18,22 @@ head and base again, rotating which goes first. Per row and metric the
 ratio is the median over rounds of head / base. The band comes from the
 base-again / base ratios of the same rounds: in log terms, their median's
 distance from 1 plus four standard errors of a median of PAIRS ratios
-(1.2533 * 1.4826 * MAD / sqrt(PAIRS)). A ratio beyond the band on the
-metric's worse side is REGRESSED and exits 1; nothing sets the band from
-outside. The table also gives medians and quartiles, the head's wins and
-whether its median moved beyond the base's interquartile range (a solid
-gain wins nearly every round and does). Every run's rows go to stderr as
-one JSON line ({"job", "pair", "side", "rows"}).
+(1.2533 * 1.4826 * MAD / sqrt(PAIRS)); when more than half of those
+ratios tie, so that their MAD is 0, the MAD of the base values' own logs
+stands in. Nothing sets the band from outside. With --command a ratio
+beyond the band on the metric's worse side is REGRESSED and exits 1;
+rdcnbench runs are judged against BENCHMARK.json's bounds elsewhere, so
+there the verdict reads "slower" and the exit status stays 0.
+
+Every directed metric of a row is compared only when it is a positive
+finite number in every run. A metric the base lacks or gives otherwise is
+listed as skipped; one the base gives but a head run lacks, or gives as
+null, non-finite or non-positive, is listed as UNUSABLE and exits 2.
+Metrics with no better direction are listed once per command or workload.
+The table also gives medians and quartiles, the head's wins and whether
+its median moved beyond the base's interquartile range (a solid gain wins
+nearly every round and does). Every run's rows go to stderr as one JSON
+line ({"job", "pair", "side", "rows"}).
 """
 
 import argparse
@@ -79,7 +89,9 @@ def run_command(argv, checkout):
 
 
 class CommandJob:
-    """One command whose stdout holds BenchReport rows."""
+    """One command whose stdout holds BenchReport rows; its verdicts gate."""
+
+    gates = True
 
     def __init__(self, command):
         self.label, self.argv = command, shlex.split(command)
@@ -94,6 +106,8 @@ class CommandJob:
 
 class RdcnbenchJob:
     """One rdcnbench workload as one row; each side runs its own BENCHMARK.json command."""
+
+    gates = False
 
     def __init__(self, benches, head_bench, workload, seed, seconds, trace):
         self.label = "rdcnbench %s (seed %d, %g s per run, trace %d)" % (
@@ -127,45 +141,62 @@ def quartiles(samples):
     return tuple(statistics.quantiles(samples, n=4))
 
 
-def log_ratios(numerators, denominators):
-    return [math.log(n / d) for n, d in zip(numerators, denominators)
-            if n > 0 and d > 0 and math.isfinite(n) and math.isfinite(d)]
+def usable(value):
+    return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
 
 
-def band_half_width(noise):
+def mad(samples):
+    center = statistics.median(samples)
+    return statistics.median(abs(x - center) for x in samples)
+
+
+def band_half_width(noise, base):
     """Log-space half-width of the band from the base/base log ratios."""
-    center = statistics.median(noise)
-    mad = statistics.median(abs(x - center) for x in noise)
-    return abs(center) + 4.0 * 1.2533 * 1.4826 * mad / math.sqrt(len(noise))
+    # Ratios that tie in most rounds have MAD 0; the base values' own spread
+    # then keeps the band from collapsing onto its centre.
+    spread = mad(noise) or mad([math.log(b) for b in base])
+    return abs(statistics.median(noise)) + 4.0 * 1.2533 * 1.4826 * spread / math.sqrt(len(noise))
 
 
 def compare(job, samples, pairs):
-    """Prints the job's table; returns the regressed "row :: metric" names."""
-    regressed = []
+    """Prints the job's table; returns its regressed and unusable "row :: metric" names."""
+    regressed, unusable, undirected = [], [], set()
     print("%s: %d rounds of base, head, base again" % (job.label, pairs))
     print("  %-58s %-26s %-26s %-7s %-15s %-7s %-8s %s" %
           ("row :: metric", "base median [q1, q3]", "head median [q1, q3]", "ratio",
            "band", "wins", "gain>IQR", "verdict"))
     for key in sorted(samples["base"][0]):
-        for metric in sorted(samples["base"][0][key]):
-            direction = job.better(metric)
+        for metric in sorted(set().union(*(run[key] for side in SIDES for run in samples[side]))):
+            name = "%s :: %s" % (key, metric)
+            if job.better(metric) is None:
+                undirected.add(metric)
+                continue
             series = {side: [run[key].get(metric) for run in samples[side]] for side in SIDES}
-            if direction is None or None in sum(series.values(), []):
-                continue
             base, head = series["base"], series["head"]
-            changed, noise = log_ratios(head, base), log_ratios(series["base2"], base)
-            if not changed or len(noise) != len(changed):
+            bad = [v for v in base + series["base2"] if not usable(v)]
+            if bad:
+                print("  %-58s skipped: a base run gives %s" % (name, bad[0]))
                 continue
-            higher = direction == "higher"
+            bad = [(pair, v) for pair, v in enumerate(head, 1) if not usable(v)]
+            if bad:
+                print("  %-58s UNUSABLE: head run %d gives %s" % (name, bad[0][0], bad[0][1]))
+                unusable.append(name)
+                continue
+            higher = job.better(metric) == "higher"
+            changed = [math.log(h / b) for h, b in zip(head, base)]
+            noise = [math.log(b2 / b) for b2, b in zip(series["base2"], base)]
             ratio = math.exp(statistics.median(changed))
-            half = band_half_width(noise)
+            half = band_half_width(noise, base)
             slower = -math.log(ratio) if higher else math.log(ratio)
-            verdict = "REGRESSED" if slower > half else ("faster" if slower < -half else "ok")
+            verdict = "ok"
+            if slower > half:
+                verdict = "REGRESSED" if job.gates else "slower"
+            elif slower < -half:
+                verdict = "faster"
             wins = sum(1 for b, h in zip(base, head) if (h > b if higher else h < b))
             b_q1, b_med, b_q3 = quartiles(base)
             h_q1, h_med, h_q3 = quartiles(head)
             gain = (h_med - b_med) if higher else (b_med - h_med)
-            name = "%s :: %s" % (key, metric)
             print("  %-58s %-26s %-26s %-7.4f %-15s %-7s %-8s %s" %
                   (name, "%.5g [%.5g, %.5g]" % (b_med, b_q1, b_q3),
                    "%.5g [%.5g, %.5g]" % (h_med, h_q1, h_q3), ratio,
@@ -173,8 +204,10 @@ def compare(job, samples, pairs):
                    "%d/%d" % (wins, pairs), "yes" if gain > b_q3 - b_q1 else "no", verdict))
             if verdict == "REGRESSED":
                 regressed.append(name)
+    if undirected:
+        print("  not compared (no better direction): %s" % ", ".join(sorted(undirected)))
     sys.stdout.flush()
-    return regressed
+    return regressed, unusable
 
 
 def main():
@@ -211,7 +244,7 @@ def main():
         jobs = [RdcnbenchJob(benches, head_bench, w, args.seed, seconds, args.trace)
                 for w in workloads]
 
-    regressed = []
+    regressed, unusable = [], []
     for job in jobs:
         warm = {side: job.run(paths[side], warmup=True) for side in ("base", "head")}
         matched = set(warm["base"]) & set(warm["head"])
@@ -231,13 +264,21 @@ def main():
                 samples[side].append({key: rows[key] for key in matched})
                 print(json.dumps({"job": job.label, "pair": pair + 1, "side": side,
                                   "rows": samples[side][-1]}), file=sys.stderr)
-        regressed += compare(job, samples, args.pairs)
+        job_regressed, job_unusable = compare(job, samples, args.pairs)
+        regressed += job_regressed
+        unusable += job_unusable
 
     for name in regressed:
         print("REGRESSED %s" % name)
+    for name in unusable:
+        print("UNUSABLE %s" % name)
     if regressed:
         print("ab_bench: %d row metric(s) slower than the base/base band" % len(regressed))
         sys.exit(1)
+    if unusable:
+        print("ab_bench: %d row metric(s) the head does not give as a positive finite number"
+              % len(unusable))
+        sys.exit(2)
 
 
 if __name__ == "__main__":

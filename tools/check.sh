@@ -70,6 +70,10 @@ echo "== lint =="
 echo "== smoke bench =="
 # bench_scalability runs the whole stack: engine, LP, brute force, dual witness.
 "$build/bench/bench_scalability" >/dev/null
+# bench_suite drives its embedded zoo spec through the suite runner; it must
+# run and print its cost rows.
+"$build/bench/bench_suite" > "$build/suite_rows.txt"
+grep -q '"total_cost"' "$build/suite_rows.txt"
 # bench_hotpath's own correctness checks: exit 3 when a repetition's
 # schedule differs from the first one's (determinism) or a probe-on drain
 # differs from the probe-off one. Its speed is gated in CI against the base
