@@ -1,6 +1,7 @@
 #include "check/differential.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -259,13 +260,42 @@ std::vector<std::string> compare_staged_batch_vs_stream(
   return mismatches;
 }
 
-/// One policy's audited batch run plus the self-consistency and stream
-/// equivalence checks shared by the standard and variant passes. Returns
-/// the run's cost, or nothing if the engine threw.
+/// Runs `policy` on `previous` (another scenario, typically on another
+/// topology), resets that engine onto `instance` and compares its run with
+/// the fresh `run` bit for bit. A throw on `previous` is that scenario's
+/// own finding; the reset must recover from it all the same.
+std::vector<std::string> compare_reused_engine(const Instance& previous,
+                                               const Instance& instance,
+                                               const PolicyFactory& policy,
+                                               const EngineOptions& options,
+                                               const RunResult& run) {
+  auto previous_dispatcher = policy.dispatcher();
+  auto previous_scheduler = policy.scheduler(previous.topology());
+  std::optional<Engine> engine;
+  try {
+    engine.emplace(previous, *previous_dispatcher, *previous_scheduler, options);
+    engine->run();
+  } catch (const std::exception&) {
+    if (!engine) return {"no engine could be built on the previous scenario"};
+  }
+  auto dispatcher = policy.dispatcher();
+  auto scheduler = policy.scheduler(instance.topology());
+  try {
+    engine->reset(instance, *dispatcher, *scheduler, options);
+    return run_differences(run, engine->run());
+  } catch (const std::exception& error) {
+    return {std::string("threw: ") + error.what()};
+  }
+}
+
+/// One policy's audited batch run plus the self-consistency, stream
+/// equivalence and (given `previous`) reused-engine checks shared by the
+/// standard and variant passes. Returns the run's cost, or nothing if the
+/// engine threw.
 std::optional<double> run_and_check(const Instance& instance, const std::string& name,
                                     const EngineOptions& engine_options,
                                     const DiffOptions& options, const char* label,
-                                    DiffReport& report) {
+                                    const Instance* previous, DiffReport& report) {
   const PolicyFactory policy = named_policy(name);
   RunResult run;
   try {
@@ -293,6 +323,14 @@ std::optional<double> run_and_check(const Instance& instance, const std::string&
   if (!close(run.reconfig_cost + run.fixed_cost, run.total_cost, tol)) {
     report.violations.push_back(std::string(label) + name +
                                 ": reconfig + fixed cost shares do not sum to the total");
+  }
+  if (previous != nullptr) {
+    ++report.checks;
+    for (const std::string& difference :
+         compare_reused_engine(*previous, instance, policy, engine_options, run)) {
+      report.violations.push_back(std::string(label) + name +
+                                  ": reused engine diverges from a fresh one: " + difference);
+    }
   }
   if (options.check_stream_equivalence && !engine_options.redispatch_queued) {
     ++report.checks;
@@ -468,6 +506,61 @@ void check_impact_index(const Instance& instance, DiffReport& report) {
   }
 }
 
+std::vector<std::string> run_differences(const RunResult& want, const RunResult& got) {
+  std::vector<std::string> differences;
+  const auto bits = [](double value) { return std::bit_cast<std::uint64_t>(value); };
+  const auto differ = [&](const char* field, auto a, auto b) {
+    if (a != b) differences.push_back(std::string(field) + " differs");
+  };
+  differ("total_cost", bits(want.total_cost), bits(got.total_cost));
+  differ("reconfig_cost", bits(want.reconfig_cost), bits(got.reconfig_cost));
+  differ("fixed_cost", bits(want.fixed_cost), bits(got.fixed_cost));
+  differ("makespan", want.makespan, got.makespan);
+  differ("steps_simulated", want.steps_simulated, got.steps_simulated);
+  differ("outcome count", want.outcomes.size(), got.outcomes.size());
+  const std::size_t packets = std::min(want.outcomes.size(), got.outcomes.size());
+  std::size_t differing = 0;
+  std::size_t first = 0;
+  for (std::size_t i = 0; i < packets; ++i) {
+    const PacketOutcome& a = want.outcomes[i];
+    const PacketOutcome& b = got.outcomes[i];
+    if (a.route.use_fixed != b.route.use_fixed || a.route.edge != b.route.edge ||
+        bits(a.route.alpha) != bits(b.route.alpha) ||
+        a.chunk_transmit_steps != b.chunk_transmit_steps || a.completion != b.completion ||
+        bits(a.weighted_latency) != bits(b.weighted_latency) || a.dropped != b.dropped) {
+      if (differing++ == 0) first = i;
+    }
+  }
+  if (differing > 0) {
+    differences.push_back(std::to_string(differing) + " packet outcomes differ, first packet " +
+                          std::to_string(first));
+  }
+  differ("trace length", want.trace.size(), got.trace.size());
+  const std::size_t steps = std::min(want.trace.size(), got.trace.size());
+  for (std::size_t i = 0; i < steps; ++i) {
+    const StepRecord& a = want.trace[i];
+    const StepRecord& b = got.trace[i];
+    bool same = a.time == b.time && a.matching_size == b.matching_size &&
+                a.packets.size() == b.packets.size();
+    for (std::size_t j = 0; same && j < a.packets.size(); ++j) {
+      same = a.packets[j].packet == b.packets[j].packet &&
+             a.packets[j].transmitted == b.packets[j].transmitted &&
+             a.packets[j].blocker == b.packets[j].blocker;
+    }
+    if (!same) {
+      differences.push_back("trace differs from step record " + std::to_string(i));
+      break;
+    }
+  }
+  // The probe's timings are host measurements; what it counts is not.
+  differ("probe enabled", want.probe.enabled, got.probe.enabled);
+  differ("probe phase calls", want.probe.phase_calls, got.probe.phase_calls);
+  differ("probe counters", want.probe.counters, got.probe.counters);
+  differ("probe gauge lasts", want.probe.gauge_last, got.probe.gauge_last);
+  differ("probe gauge maxima", want.probe.gauge_max, got.probe.gauge_max);
+  return differences;
+}
+
 std::string DiffReport::to_string() const {
   std::string joined;
   for (const std::string& violation : violations) {
@@ -486,7 +579,8 @@ Instance truncate_packets(const Instance& instance, std::size_t keep) {
   return truncated;
 }
 
-DiffReport check_instance(const Instance& instance, const DiffOptions& options) {
+DiffReport check_instance(const Instance& instance, const DiffOptions& options,
+                          const Instance* previous) {
   DiffReport report;
   ++report.checks;
   const std::string invalid = instance.validate();
@@ -500,7 +594,8 @@ DiffReport check_instance(const Instance& instance, const DiffOptions& options) 
   const std::vector<std::string> names = policy_list(options);
   std::vector<std::pair<std::string, double>> costs;
   for (const std::string& name : names) {
-    if (const auto cost = run_and_check(instance, name, base, options, "", report)) {
+    if (const auto cost =
+            run_and_check(instance, name, base, options, "", previous, report)) {
       costs.emplace_back(name, *cost);
     }
   }
@@ -511,7 +606,7 @@ DiffReport check_instance(const Instance& instance, const DiffOptions& options) 
                               ", capacity " + std::to_string(variant.endpoint_capacity) +
                               ", reconfig " + std::to_string(variant.reconfig_delay) + ") ";
     for (const std::string& name : options.variant_policies) {
-      run_and_check(instance, name, audited, options, label.c_str(), report);
+      run_and_check(instance, name, audited, options, label.c_str(), previous, report);
     }
   }
 
@@ -822,7 +917,8 @@ DiffReport check_stream(const StreamSpec& spec, std::uint64_t rep_seed,
         });
       }
       for (const std::string& name : replay_policies) {
-        run_and_check(recorded, name, engine_options, options, "recorded prefix, ", report);
+        run_and_check(recorded, name, engine_options, options, "recorded prefix, ", nullptr,
+                      report);
       }
       if (std::find(replay_policies.begin(), replay_policies.end(), "alg") !=
           replay_policies.end()) {

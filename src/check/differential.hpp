@@ -9,6 +9,8 @@
 //    the two first-principles recomputations of sim/metrics;
 //  * a streamed replay of the same arrival sequence reproduces the batch
 //    schedule bit-for-bit, per packet (completion, chunk steps, latency);
+//  * given the previous scenario's instance, an engine reset from a run on
+//    it reproduces the fresh run bit for bit (the engine reuse run/ does);
 //  * no schedule beats the trivial lower bound, and -- for instances small
 //    enough for opt/brute_force -- no schedule beats the exhaustive
 //    optimum while the trivial bound stays below it;
@@ -71,7 +73,11 @@ struct DiffReport {
 };
 
 /// Cross-checks every policy's batch run on the instance (see header).
-DiffReport check_instance(const Instance& instance, const DiffOptions& options = {});
+/// Given `previous` (another scenario's instance), each run is repeated on
+/// an engine that last ran `previous` and is then reset onto `instance`;
+/// it must reproduce the fresh run bit for bit (run_differences).
+DiffReport check_instance(const Instance& instance, const DiffOptions& options = {},
+                          const Instance* previous = nullptr);
 
 /// Cross-checks one streamed repetition of the spec per policy, plus the
 /// batch-vs-stream replay of a recorded arrival prefix. A spec whose rho
@@ -79,6 +85,12 @@ DiffReport check_instance(const Instance& instance, const DiffOptions& options =
 /// `skipped`, not in `violations`.
 DiffReport check_stream(const StreamSpec& spec, std::uint64_t rep_seed,
                         const DiffOptions& options = {});
+
+/// Every way two batch runs of one instance differ, compared bit for bit:
+/// the cost shares, makespan, steps, every PacketOutcome field, the trace,
+/// and the probe's call counts, counters and gauges (not its timings).
+/// Empty when the runs are identical.
+std::vector<std::string> run_differences(const RunResult& want, const RunResult& got);
 
 /// Replays ALG's dispatch sequence on the instance with the incremental
 /// impact index cross-validated against both oracles at every candidate

@@ -47,7 +47,11 @@ DiffReport check_scenario_seed(std::uint64_t seed, std::size_t prefix, DiffOptio
   }
   Instance instance = ScenarioRunner(spec).instance(spec.base_seed);
   if (prefix > 0) instance = truncate_packets(instance, prefix);
-  return check_instance(instance, options);
+  // The scenario a sweep checked just before this one: the reused-engine
+  // cross-check resets an engine from a run on it.
+  const ScenarioSpec previous_spec = random_scenario_spec(seed - 1);
+  const Instance previous = ScenarioRunner(previous_spec).instance(previous_spec.base_seed);
+  return check_instance(instance, options, &previous);
 }
 
 DiffReport check_stream_seed(std::uint64_t seed, std::size_t measure, bool keep_warmup,

@@ -26,7 +26,8 @@ std::size_t bisect_smallest_failing(std::size_t full,
 /// Canonical fuzz check for one batch seed: derive random_scenario_spec,
 /// build the instance, keep the first `prefix` packets (0 = all), add the
 /// spec's randomized engine options as a checker variant, run
-/// check_instance. Emitted reproducers call exactly this.
+/// check_instance with seed - 1's instance as the reused engine's previous
+/// scenario. Emitted reproducers call exactly this.
 DiffReport check_scenario_seed(std::uint64_t seed, std::size_t prefix = 0,
                                DiffOptions options = {});
 

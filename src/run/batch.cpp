@@ -232,14 +232,16 @@ std::vector<Result> BatchRunner::run_cells(
   for (const Task& task : tasks) {
     pool_.submit([this, task, &cells, &groups, &outcomes, &ledger, &remaining,
                   &finalize_cell, &cell_label] {
+      // Declared after the instance it points into, so it dies first.
       std::optional<Instance> instance;
+      std::optional<Engine> engine;
       for (const std::size_t c : groups[task.group]) {
         const std::string name = policy_.fault_hook ? cell_label(c) : std::string();
         run_with_retries(
             policy_, watchdog_.get(), name, c, task.rep, ledger,
             [&](const CancelToken* cancel) {
               if constexpr (kSharesInstances<CellT>) {
-                outcomes[c][task.rep] = cells[c].run(task.seed, cancel, instance);
+                outcomes[c][task.rep] = cells[c].run(task.seed, cancel, instance, engine);
               } else {
                 outcomes[c][task.rep] = cells[c].run(task.seed, cancel);
               }

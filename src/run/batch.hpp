@@ -6,10 +6,12 @@
 // repetition count; never a make_instance spec -- form a group, and each
 // repetition of a group is one pool task: it builds the instance once and
 // runs every cell of the group on it in turn, on one worker (an instance
-// is never shared across workers). When a run's groups add up to fewer
-// (group, repetition) tasks than the pool has workers, every cell runs one
-// task per repetition instead, so small grids stay parallel; streamed
-// cells always do. Results are
+// is never shared across workers). The task also keeps one Engine and
+// resets it for each of its cells, so engine buffers are allocated once
+// per task rather than once per cell; instance and engine die with the
+// task. When a run's groups add up to fewer (group, repetition) tasks than
+// the pool has workers, every cell runs one task per repetition instead,
+// so small grids stay parallel; streamed cells always do. Results are
 // deterministic and independent of grouping and worker scheduling: every
 // repetition's outcome lands in its preassigned slot, and the cell's
 // runner folds them in seed order (ScenarioRunner::aggregate /
@@ -112,11 +114,13 @@ class BatchRunner {
     /// `other`'s (the grouping key; engine options play no part).
     bool shares_instances(const Cell& other) const;
     /// Runs one repetition on `instance`, building it first when this is
-    /// the first cell of its group's task to need it.
+    /// the first cell of its group's task to need it, on the task's
+    /// `engine` (reset between cells, so its buffers keep their capacity).
     RepetitionOutcome run(std::uint64_t seed, const CancelToken* cancel,
-                          std::optional<Instance>& instance) const {
+                          std::optional<Instance>& instance,
+                          std::optional<Engine>& engine) const {
       if (!instance) instance.emplace(runner.instance(seed));
-      return runner.run_repetition(policy, *instance, seed, metric, cancel);
+      return runner.run_repetition(policy, *instance, seed, metric, engine, cancel);
     }
   };
   struct StreamCell {

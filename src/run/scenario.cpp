@@ -86,6 +86,7 @@ RepetitionOutcome ScenarioRunner::run_repetition(const PolicyFactory& policy,
                                                  const Instance& inst,
                                                  std::uint64_t rep_seed,
                                                  const RepMetric& metric,
+                                                 std::optional<Engine>& engine,
                                                  const CancelToken* cancel) const {
   auto dispatcher = policy.dispatcher();
   auto scheduler = policy.scheduler(inst.topology());
@@ -93,7 +94,12 @@ RepetitionOutcome ScenarioRunner::run_repetition(const PolicyFactory& policy,
   engine_options.cancel = cancel;
 
   const auto start = std::chrono::steady_clock::now();
-  const RunResult run = simulate(inst, *dispatcher, *scheduler, engine_options);
+  if (engine) {
+    engine->reset(inst, *dispatcher, *scheduler, engine_options);
+  } else {
+    engine.emplace(inst, *dispatcher, *scheduler, engine_options);
+  }
+  const RunResult run = engine->run();
   const auto stop = std::chrono::steady_clock::now();
 
   RepetitionOutcome outcome;
@@ -127,8 +133,9 @@ ScenarioResult ScenarioRunner::aggregate(const PolicyFactory& policy,
 ScenarioResult ScenarioRunner::run(const PolicyFactory& policy, RepMetric metric) const {
   std::vector<RepetitionOutcome> outcomes;
   outcomes.reserve(spec_.repetitions);
+  std::optional<Engine> engine;
   for (const std::uint64_t seed : seeds()) {
-    outcomes.push_back(run_repetition(policy, instance(seed), seed, metric));
+    outcomes.push_back(run_repetition(policy, instance(seed), seed, metric, engine));
   }
   return aggregate(policy, std::move(outcomes));
 }

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -158,11 +159,15 @@ class ScenarioRunner {
   friend class BatchRunner;
   /// Runs repetition `rep_seed` on `instance`, which must be
   /// instance(rep_seed) -- BatchRunner builds it once for every cell that
-  /// shares it. `cancel` (nullable) is handed to the engine, which throws
+  /// shares it. The run resets `engine`, or constructs it when empty, so a
+  /// caller that keeps the engine across repetitions reuses its buffers;
+  /// the caller owns its lifetime (one BatchRunner task, or one run()).
+  /// `cancel` (nullable) is handed to the engine, which throws
   /// CancelledError at the first step boundary after it fires -- the
   /// BatchRunner deadline path; the spec's own engine.cancel is ignored.
   RepetitionOutcome run_repetition(const PolicyFactory& policy, const Instance& instance,
                                    std::uint64_t rep_seed, const RepMetric& metric,
+                                   std::optional<Engine>& engine,
                                    const CancelToken* cancel = nullptr) const;
 
   ScenarioSpec spec_;

@@ -38,20 +38,25 @@ void merge_into(std::vector<Candidate>& list, std::vector<Candidate>& added) {
 }  // namespace
 
 Engine::Engine(const Instance& instance, DispatchPolicy& dispatcher,
-               SchedulePolicy& scheduler, EngineOptions options)
-    : instance_(&instance),
-      topology_(&instance.topology()),
-      dispatcher_(&dispatcher),
-      scheduler_(&scheduler) {
+               SchedulePolicy& scheduler, EngineOptions options) {
+  reset(instance, dispatcher, scheduler, options);
+}
+
+void Engine::reset(const Instance& instance, DispatchPolicy& dispatcher,
+                   SchedulePolicy& scheduler, EngineOptions options) {
   const std::string error = instance.validate();
   if (!error.empty()) throw std::invalid_argument("invalid instance: " + error);
-  init(options, instance.num_packets());
+  instance_ = &instance;
+  topology_ = &instance.topology();
+  dispatcher_ = &dispatcher;
+  scheduler_ = &scheduler;
+  const std::size_t n = instance.num_packets();
+  init(options, n);
   if (options_.max_steps == 0) {
     options_.max_steps = default_max_steps(instance, options_.reconfig_delay);
   }
   // Batch mode knows the full packet count up front: size every window
   // array once so dispatch never grows them incrementally.
-  const std::size_t n = instance.num_packets();
   state_.reserve(n);
   remaining_.reserve(n);
   chunk_weight_.reserve(n);
@@ -84,27 +89,51 @@ Engine::Engine(const Topology& topology, DispatchPolicy& dispatcher,
 }
 
 void Engine::init(EngineOptions options, std::size_t max_pending) {
-  options_ = options;
-  if (options_.speedup_rounds < 1) throw std::invalid_argument("speedup_rounds must be >= 1");
-  if (options_.endpoint_capacity < 1) {
+  if (options.speedup_rounds < 1) throw std::invalid_argument("speedup_rounds must be >= 1");
+  if (options.endpoint_capacity < 1) {
     throw std::invalid_argument("endpoint_capacity must be >= 1");
   }
-  if (options_.reconfig_delay < 0) throw std::invalid_argument("reconfig_delay must be >= 0");
-  if (options_.reconfig_delay > 0 && options_.endpoint_capacity != 1) {
+  if (options.reconfig_delay < 0) throw std::invalid_argument("reconfig_delay must be >= 0");
+  if (options.reconfig_delay > 0 && options.endpoint_capacity != 1) {
     throw std::invalid_argument("reconfig_delay requires endpoint_capacity == 1");
   }
-  if (options_.record_trace &&
-      (options_.speedup_rounds != 1 || options_.endpoint_capacity != 1 ||
-       options_.reconfig_delay != 0 || options_.redispatch_queued)) {
+  if (options.record_trace &&
+      (options.speedup_rounds != 1 || options.endpoint_capacity != 1 ||
+       options.reconfig_delay != 0 || options.redispatch_queued)) {
     throw std::invalid_argument(
         "trace recording requires the analysis model (speedup 1, capacity 1, no "
         "reconfiguration delay, non-migratory)");
   }
+  options_ = options;
+  // Everything below returns the engine to a fresh engine's state, also
+  // after a run that threw mid-step; `assign` and `clear` keep every
+  // buffer's capacity, so a reset onto a topology and packet count no
+  // larger than the last allocates nothing here.
+  now_ = 0;
+  next_arrival_ = 0;
+  window_base_ = 0;
+  front_retired_ = 0;
+  state_.clear();
+  remaining_.clear();
+  chunk_weight_.clear();
+  assigned_transmitter_.clear();
+  outcomes_.clear();
+  in_flight_ = 0;
+  peak_resident_ = 0;
+  dispatched_count_ = 0;
+  retired_count_ = 0;
+  dropped_count_ = 0;
+  requeued_count_ = 0;
+  dead_edges_ = 0;
+  step_open_ = false;
+  result_ = RunResult{};
+
   const auto num_t = static_cast<std::size_t>(topology_->num_transmitters());
   const auto num_r = static_cast<std::size_t>(topology_->num_receivers());
   store_.attach(*topology_);
-  transmitter_config_.resize(num_t);
-  receiver_config_.resize(num_r);
+  transmitter_config_.assign(num_t, EndpointConfig{});
+  receiver_config_.assign(num_r, EndpointConfig{});
+  round_serial_ = 0;
   edge_used_round_.assign(static_cast<std::size_t>(topology_->num_edges()), 0);
   load_t_round_.assign(num_t, 0);
   load_r_round_.assign(num_r, 0);
@@ -112,8 +141,12 @@ void Engine::init(EngineOptions options, std::size_t max_pending) {
   load_r_.assign(num_r, 0);
   owner_t_.assign(num_t, -1);
   owner_r_.assign(num_r, -1);
+  active_.transmitters.clear();
+  active_.receivers.clear();
   active_.transmitter_rank_.assign(num_t, -1);
   active_.receiver_rank_.assign(num_r, -1);
+  active_serial_ = 0;
+  select_serial_ = 0;
   impact_index_.attach(*topology_);
   const auto num_edges = static_cast<std::size_t>(topology_->num_edges());
   edge_alive_.assign(num_edges, 1);
@@ -121,6 +154,11 @@ void Engine::init(EngineOptions options, std::size_t max_pending) {
   // pending packet; sizing its buffers here keeps every refresh off the heap.
   const std::size_t busy_edges = std::min(num_edges, max_pending);
   edge_dirty_.assign(num_edges, 0);
+  dirty_edges_.clear();
+  dirty_serial_ = 1;
+  heads_.clear();
+  spare_heads_.clear();
+  fresh_heads_.clear();
   dirty_edges_.reserve(busy_edges);
   heads_.reserve(2 * busy_edges);
   spare_heads_.reserve(2 * busy_edges);
@@ -144,15 +182,18 @@ void Engine::init(EngineOptions options, std::size_t max_pending) {
   // the round-loop scratch here keeps even the first rounds off the heap.
   const std::size_t matching_bound =
       std::min(num_t, num_r) * static_cast<std::size_t>(options_.endpoint_capacity);
+  selection_.clear();
+  finished_scratch_.clear();
   selection_.mutable_packets().reserve(matching_bound);
   finished_scratch_.reserve(matching_bound);
   // A trace records every pending packet per step, in priority order.
   by_priority_live_ = options_.record_trace;
-  if (options_.audit) auditor_ = make_invariant_auditor();
-  if (options_.probe.enabled) {
-    probe_store_ = std::make_unique<Probe>(options_.probe);
-    probe_ = probe_store_.get();
-  }
+  by_priority_.clear();
+  by_priority_staged_.clear();
+  // The auditor and the probe observe one run each.
+  auditor_ = options_.audit ? make_invariant_auditor() : nullptr;
+  probe_store_ = options_.probe.enabled ? std::make_unique<Probe>(options_.probe) : nullptr;
+  probe_ = probe_store_.get();
 }
 
 // rdcn-lint: hot

@@ -20,10 +20,13 @@
 // who owns the sink, so a streamed run over a recorded arrival sequence
 // reproduces the batch schedule bit-for-bit:
 //
-//  * batch: constructed from an Instance; the engine installs a sink that
-//    records each PacketOutcome by id, and run(schedule) -- the one drive
-//    loop, an empty schedule being the plain run -- feeds the packet
-//    sequence and returns a RunResult with every outcome;
+//  * batch: constructed from an Instance, or reset() onto one -- the
+//    constructor is a reset, so both share one init path; the engine
+//    installs a sink that records each PacketOutcome by id, and
+//    run(schedule) -- the one drive loop, an empty schedule being the
+//    plain run -- feeds the packet sequence and returns a RunResult with
+//    every outcome. A reset engine keeps every buffer's capacity, which is
+//    how run/ reuses one engine for all the cells of a batch task;
 //  * streaming: constructed from a Topology plus the caller's sink; the
 //    caller injects packets online (begin_step / inject / finish_step), so
 //    resident per-packet state is O(in-flight), not O(total served) --
@@ -287,6 +290,16 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
+  /// Re-arms the engine for a batch run of `instance`, in any state --
+  /// after a finished run, a run that threw mid-step, or a streaming run.
+  /// The result is bit-for-bit the schedule a freshly constructed engine
+  /// would produce; the probe and the auditor are built anew for the run.
+  /// Every buffer keeps its capacity, so a reset onto an instance no larger
+  /// than the last allocates only RunResult::outcomes (with probe and audit
+  /// off). The batch constructor is this call.
+  void reset(const Instance& instance, DispatchPolicy& dispatcher, SchedulePolicy& scheduler,
+             EngineOptions options = {});
+
   /// Runs the full simulation to completion and returns the result; batch
   /// mode only. Mutations in `schedule`, sorted by `at` (nondecreasing),
   /// are applied at step boundaries so that every step with now() >= at
@@ -471,8 +484,10 @@ class Engine {
     bool retired = false;
   };
 
-  /// Shared constructor tail; `max_pending` bounds the packets pending at
-  /// once (the instance size in batch mode) and sizes the head buffers.
+  /// The one init path (both constructors, reset): validates `options`
+  /// and returns every piece of run state to a fresh engine's for
+  /// topology_. `max_pending` bounds the packets pending at once (the
+  /// instance size in batch mode) and sizes the head buffers.
   void init(EngineOptions options, std::size_t max_pending);
   std::size_t slot(PacketIndex p) const {
     return static_cast<std::size_t>(p - window_base_);
@@ -537,8 +552,8 @@ class Engine {
 
   const Instance* instance_ = nullptr;  ///< null in streaming mode
   const Topology* topology_ = nullptr;
-  DispatchPolicy* dispatcher_;
-  SchedulePolicy* scheduler_;
+  DispatchPolicy* dispatcher_ = nullptr;
+  SchedulePolicy* scheduler_ = nullptr;
   EngineOptions options_;
   /// Every retirement goes here: the caller's sink when streaming, an
   /// outcome recorder into result_ in batch mode.

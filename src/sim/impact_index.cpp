@@ -256,20 +256,20 @@ void ImpactIndex::attach(const Topology& topology) {
   // Group parallel edges by (transmitter, receiver) in O(E + R): walk each
   // transmitter's edges and stamp the receivers it reaches. A hash map (or
   // a sort) here is measurably expensive because attach runs once per
-  // engine construction. Nothing depends on the pair numbering beyond
+  // engine reset. Nothing depends on the pair numbering beyond
   // consistency.
   pair_of_.assign(num_e, -1);
-  std::vector<std::int32_t> receiver_stamp(num_r, -1);
-  std::vector<std::int32_t> receiver_pair(num_r, -1);
+  receiver_stamp_.assign(num_r, -1);
+  receiver_pair_.assign(num_r, -1);
   num_pairs_ = 0;
   for (NodeIndex t = 0; t < static_cast<NodeIndex>(num_t); ++t) {
     for (EdgeIndex e : topology.edges_of_transmitter(t)) {
       const auto r = static_cast<std::size_t>(topology.edge(e).receiver);
-      if (receiver_stamp[r] != t) {
-        receiver_stamp[r] = t;
-        receiver_pair[r] = num_pairs_++;
+      if (receiver_stamp_[r] != t) {
+        receiver_stamp_[r] = t;
+        receiver_pair_[r] = num_pairs_++;
       }
-      pair_of_[static_cast<std::size_t>(e)] = receiver_pair[r];
+      pair_of_[static_cast<std::size_t>(e)] = receiver_pair_[r];
     }
   }
 
@@ -281,6 +281,7 @@ void ImpactIndex::attach(const Topology& topology) {
   p_root_.assign(static_cast<std::size_t>(num_pairs_), -1);
   store_.reset();
   weight_ready_ = false;
+  updates_since_query_ = 0;
 }
 
 void ImpactIndex::reserve_pending(std::size_t packets) {

@@ -354,8 +354,9 @@ class ImpactAggregate {
 
 class ImpactIndex {
  public:
-  /// Binds the index to a topology: sizes the per-endpoint arrays and
-  /// groups parallel edges into (t, r) pairs. Called from Engine::init.
+  /// Binds the index to a topology: sizes the per-endpoint arrays, groups
+  /// parallel edges into (t, r) pairs and empties every structure. Called
+  /// from Engine::init; every array keeps its capacity.
   void attach(const Topology& topology);
 
   /// Presizes the weight pools for an expected pending-packet population
@@ -445,6 +446,9 @@ class ImpactIndex {
   const Topology* topology_ = nullptr;
   std::vector<std::int32_t> pair_of_;  ///< edge -> (t, r) group id
   std::int32_t num_pairs_ = 0;
+  /// attach()'s pairing scratch: the transmitter that last reached each
+  /// receiver, and the pair id it got.
+  std::vector<std::int32_t> receiver_stamp_, receiver_pair_;
 
   std::vector<std::int64_t> t_chunks_, r_chunks_, p_chunks_;
 

@@ -7,6 +7,11 @@ namespace rdcn {
 
 void PendingStore::attach(const Topology& topology) {
   topology_ = &topology;
+  base_ = 0;
+  node_of_.clear();
+  nodes_.clear();
+  free_ = -1;
+  size_ = 0;
   const auto num_edges = static_cast<std::size_t>(topology.num_edges());
   edges_.assign(num_edges, EdgeState{});
   for (std::size_t e = 0; e < num_edges; ++e) {

@@ -40,7 +40,8 @@ namespace rdcn {
 
 class PendingStore {
  public:
-  /// Sizes the per-edge array from the topology.
+  /// Sizes the per-edge array from the topology and empties the store
+  /// (window map and node pool keep their capacity).
   void attach(const Topology& topology);
   /// Presizes the window map and node pool (batch mode, which knows its
   /// packet count).

@@ -2,7 +2,7 @@
 """Fake BenchReport emitter for test_ab_bench.py: prints two fixed rows.
 
     ab_bench_rows.py [--meta] [--duplicate] [--head-slow NAME] [--head-rename]
-                     [--head-wall null|NaN|drop]
+                     [--head-wall null|NaN|drop] [--head-touch-mb N]
 
 The --head-* options act only when the working directory is named "head",
 so both sides of an A/B run can share one command and still differ.
@@ -32,6 +32,10 @@ if in_head and "--head-wall" in args:  # the alg row's wall_ms, as a broken head
         del rows[0]["wall_ms"]
     else:
         rows[0]["wall_ms"] = None if wall == "null" else float(wall)
+if in_head and "--head-touch-mb" in args:  # N MiB of fresh pages, one fault each
+    touched = bytearray(int(args[args.index("--head-touch-mb") + 1]) << 20)
+    for page in range(0, len(touched), 4096):
+        touched[page] = 1
 if "--duplicate" in args:
     rows.append(rows[0])
 print("fake bench table header")

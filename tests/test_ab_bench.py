@@ -7,8 +7,10 @@ working directory where a case needs them to differ.
 """
 
 import importlib.util
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -77,6 +79,19 @@ class AbBenchTest(unittest.TestCase):
             run = self.ab("--head-wall", wall)
             self.assertEqual(run.returncode, 2, wall + ": " + run.stdout + run.stderr)
             self.assertIn('UNUSABLE fake|alg|packets=400|shape="pod" :: wall_ms', run.stdout)
+
+    def test_page_faults_are_reported_and_never_judged(self):
+        run = self.ab("--head-touch-mb", "32")
+        self.assertEqual(run.returncode, 0, run.stdout + run.stderr)
+        line = [l for l in run.stdout.splitlines() if "child rusage per run" in l]
+        self.assertEqual(len(line), 1, run.stdout)
+        faults = dict(re.findall(r"(base again|base|head) (\d+) minor faults", line[0]))
+        self.assertEqual(sorted(faults), ["base", "base again", "head"])
+        # 32 MiB of touched pages is 8192 faults at 4 KiB a page.
+        self.assertGreater(int(faults["head"]) - int(faults["base"]), 6000, line[0])
+        self.assertLess(abs(int(faults["base again"]) - int(faults["base"])), 6000, line[0])
+        runs = [json.loads(l) for l in run.stderr.splitlines() if l.startswith("{")]
+        self.assertTrue(runs and all(r["minflt"] > 0 and r["stime_s"] >= 0 for r in runs))
 
     def test_band_has_a_floor_when_base_ratios_tie(self):
         base = [100.0, 103.0, 97.0, 101.0, 99.0]

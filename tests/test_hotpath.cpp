@@ -362,6 +362,52 @@ TEST(HotPathAllocations, ShallowAlgStreamAllocatesNothingAtSteadyState) {
   EXPECT_GT(inline_only_steps, 0u);
 }
 
+// ------------------------------------------------------ engine reset --
+
+/// A batch task resets one engine for each of its cells (run/batch.hpp).
+/// With probe and audit off, re-arming it onto an instance no larger than
+/// the last -- same shape, or a smaller topology with fewer packets --
+/// must touch the heap once: for the RunResult::outcomes array that run()
+/// hands to the caller. Every other buffer keeps its capacity.
+TEST(HotPathAllocations, ResetOntoANoLargerInstanceAllocatesOnlyTheOutcomes) {
+  TopologySpec pod;
+  pod.two_tier.racks = 16;
+  pod.two_tier.density = 0.4;
+  pod.two_tier.max_edge_delay = 2;
+  WorkloadConfig workload;
+  workload.num_packets = 600;
+  workload.arrival_rate = 16.0;
+  workload.skew = PairSkew::Zipf;
+  const Instance large = generate_workload(make_topology(pod, 2), workload);
+  const Instance rewired = generate_workload(make_topology(pod, 1), workload);
+  pod.two_tier.racks = 6;
+  workload.num_packets = 200;
+  const Instance small = generate_workload(make_topology(pod, 3), workload);
+  for (const Instance* instance : {&rewired, &small}) {
+    ASSERT_TRUE(instance->validate().empty());  // memoized before counting
+    ASSERT_LE(instance->topology().num_edges(), large.topology().num_edges());
+    ASSERT_LE(instance->topology().num_transmitters(), large.topology().num_transmitters());
+    ASSERT_LE(instance->topology().num_receivers(), large.topology().num_receivers());
+  }
+
+  for (const std::string& name : policy_names()) {
+    const PolicyFactory policy = named_policy(name);
+    auto dispatcher = policy.dispatcher();
+    auto scheduler = policy.scheduler(large.topology());
+    Engine engine(large, *dispatcher, *scheduler);
+    engine.run();
+    for (const Instance* instance : {&rewired, &small}) {
+      auto next_dispatcher = policy.dispatcher();
+      auto next_scheduler = policy.scheduler(instance->topology());
+      const std::uint64_t before = g_allocation_count.load();
+      engine.reset(*instance, *next_dispatcher, *next_scheduler);
+      EXPECT_EQ(g_allocation_count.load() - before, 1u)
+          << name << ": a reset allocated beyond RunResult::outcomes";
+      EXPECT_EQ(engine.run().outcomes.size(), instance->num_packets()) << name;
+    }
+  }
+}
+
 // ------------------------------------------------- active-endpoint remap --
 
 Candidate candidate_on(const Topology& topology, EdgeIndex e, PacketIndex id) {

@@ -32,14 +32,19 @@ null, non-finite or non-positive, is listed as UNUSABLE and exits 2.
 Metrics with no better direction are listed once per command or workload.
 The table also gives medians and quartiles, the head's wins and whether
 its median moved beyond the base's interquartile range (a solid gain wins
-nearly every round and does). Every run's rows go to stderr as one JSON
-line ({"job", "pair", "side", "rows"}).
+nearly every round and does). Under it, each side's median minor page
+faults and system CPU seconds per run, taken from the child rusage before
+and after each run, show kernel work behind a change; they are
+informational and never give a verdict. Every run's rows and rusage go to
+stderr as one JSON line ({"job", "pair", "side", "rows", "minflt",
+"stime_s"}).
 """
 
 import argparse
 import json
 import math
 import os
+import resource
 import shlex
 import statistics
 import subprocess
@@ -210,6 +215,25 @@ def compare(job, samples, pairs):
     return regressed, unusable
 
 
+def child_usage(run):
+    """Runs `run()`; returns its result, and the minor page faults and system
+    CPU seconds of the child processes it waited for."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = run()
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return result, after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime
+
+
+def print_usage(usage):
+    """One informational line: each side's median faults and system time per run."""
+    print("  child rusage per run, median (informational): " + "; ".join(
+        "%s %d minor faults, %.3f s system" % (
+            "base again" if side == "base2" else side,
+            statistics.median(faults for faults, _ in usage[side]),
+            statistics.median(stime for _, stime in usage[side])) for side in SIDES))
+    sys.stdout.flush()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="checkout measured as the baseline")
@@ -254,17 +278,21 @@ def main():
             for key in sorted(set(warm[side]) - set(warm[other])):
                 print("only in %s: %s" % (side, key))
         samples = {side: [] for side in SIDES}
+        usage = {side: [] for side in SIDES}
         for pair in range(args.pairs):
             shift = pair % len(SIDES)
             for side in SIDES[shift:] + SIDES[:shift]:
-                rows = job.run(paths[side])
+                rows, faults, stime = child_usage(lambda: job.run(paths[side]))
                 if not matched <= set(rows):
                     fail("%s: %s run %d lost rows %s" % (job.label, side, pair + 1,
                                                          sorted(matched - set(rows))))
                 samples[side].append({key: rows[key] for key in matched})
+                usage[side].append((faults, stime))
                 print(json.dumps({"job": job.label, "pair": pair + 1, "side": side,
-                                  "rows": samples[side][-1]}), file=sys.stderr)
+                                  "rows": samples[side][-1], "minflt": faults,
+                                  "stime_s": stime}), file=sys.stderr)
         job_regressed, job_unusable = compare(job, samples, args.pairs)
+        print_usage(usage)
         regressed += job_regressed
         unusable += job_unusable
 
